@@ -1,8 +1,8 @@
 """Registry-selectable kernel backends for the simulator's hot loops.
 
 The ``kernels`` registry namespace names *where* the hot inner loops
-run — NaSch CA stepping, DCF bookkeeping, link-cache row construction
-— without changing *what* they compute (every backend is bit-identical
+run — NaSch CA stepping, DCF bookkeeping, the link-cache receiver
+filter — without changing *what* they compute (every backend is bit-identical
 to the pure-Python reference; see :mod:`repro.kernels.pyref` for the
 rules that make that guarantee hold).
 

@@ -1,7 +1,7 @@
 """The kernel-backend contract (and its pure-Python implementation).
 
 A *kernel backend* supplies the hot inner loops of a run — the NaSch
-update, link-cache row construction and DCF bookkeeping — behind a
+update, the link-cache receiver filter and DCF bookkeeping — behind a
 fixed method surface.  Components (``NagelSchreckenberg``,
 ``MultiLaneRoad``, ``Channel``, ``DcfBook``) take a backend (or its
 registry name) at construction and call only these methods, so
@@ -13,8 +13,7 @@ under multiple backends to enforce it.
 
 :class:`KernelBackend` doubles as the ``"python"`` backend: its
 methods wrap the reference loops of :mod:`repro.kernels.pyref`
-directly (with a per-link scalar-``np.hypot`` distance loop, the same
-shape as the channel's ``fast_path=False`` reference).  Subclasses
+directly.  Subclasses
 override whichever methods they can execute faster —
 :class:`~repro.kernels.vector.VectorBackend` with the numpy
 expressions the components used before this package existed, the
@@ -69,9 +68,6 @@ class KernelBackend:
     #: Whether the hot loops run as machine code.
     compiled = False
 
-    def __init__(self) -> None:
-        self._keep_scratch: dict = {}
-
     def __reduce__(self):
         return (_restore_backend, (self.name,))
 
@@ -93,33 +89,6 @@ class KernelBackend:
         return out
 
     # -- PHY link-cache rows -------------------------------------------------
-
-    def row_select(self, cand, ids, num_positions):
-        """``(sel_ids, reg_idx)``: the registered radios within the
-        spatial candidate set, in registration order."""
-        cand = np.ascontiguousarray(cand, dtype=np.int64)
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        keep = self._keep(num_positions)
-        sel_ids = np.empty(len(ids), dtype=np.int64)
-        reg_idx = np.empty(len(ids), dtype=np.int64)
-        k = pyref.row_select(cand, ids, keep, sel_ids, reg_idx)
-        return sel_ids[:k], reg_idx[:k]
-
-    def row_distances(self, positions, sel_ids, sender_id) -> np.ndarray:
-        """Sender-to-receiver distances for one row.
-
-        The reference loop calls scalar ``np.hypot`` per link — the
-        same ufunc the vectorized path applies elementwise, so the
-        values are bit-equal (this is the one place a kernel touches
-        transcendental math, and it stays on the numpy ufunc on every
-        backend for exactly that reason).
-        """
-        sender_pos = positions[sender_id]
-        out = np.empty(len(sel_ids), dtype=np.float64)
-        for i, node in enumerate(sel_ids.tolist()):
-            delta = positions[node] - sender_pos
-            out[i] = np.hypot(delta[0], delta[1])
-        return out
 
     def row_filter(self, powers, thresholds, sel_ids, sender_id):
         """Indices (into the row) above carrier sense, sender excluded."""
@@ -146,15 +115,6 @@ class KernelBackend:
         out = np.empty(len(nav), dtype=np.int64)
         k = pyref.dcf_expired_navs(nav, now, out)
         return out[:k]
-
-    # -- internals -----------------------------------------------------------
-
-    def _keep(self, num_positions: int) -> np.ndarray:
-        scratch = self._keep_scratch.get(num_positions)
-        if scratch is None:
-            scratch = np.zeros(num_positions, dtype=bool)
-            self._keep_scratch[num_positions] = scratch
-        return scratch
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<kernel backend {self.name!r} compiled={self.compiled}>"

@@ -8,9 +8,7 @@ first-index tie-breaking, floored modulo spelled out as
 ``((a % L) + L) % L`` to match Python's semantics on negative
 operands) restricted to integer arithmetic, IEEE double +,-,*,/ and
 comparisons — no libm calls — so its outputs are bit-identical to the
-reference on any IEEE-754 platform.  Distances stay on ``np.hypot``
-(inherited from :class:`~repro.kernels.vector.VectorBackend`) per the
-no-transcendentals rule.
+reference on any IEEE-754 platform.
 
 The shared library is built once per source version with the system C
 compiler (``$CC``, else ``cc``/``gcc``/``clang``) into a content-hashed
@@ -54,7 +52,6 @@ from repro.kernels.vector import VectorBackend
 
 C_SOURCE = r"""
 #include <stdint.h>
-#include <string.h>
 
 typedef int64_t i64;
 
@@ -111,22 +108,6 @@ void cyclic_gaps(const i64 *pos, i64 num_cells, i64 *out, i64 n)
     for (i64 i = 0; i < n; i++) {
         out[i] = fmod_floor(pos[(i + 1) % n] - pos[i] - 1, num_cells);
     }
-}
-
-i64 row_select(const i64 *cand, i64 ncand, const i64 *ids, i64 nids,
-               uint8_t *keep, i64 npos, i64 *sel_ids, i64 *reg_idx)
-{
-    memset(keep, 0, (size_t)npos);
-    for (i64 i = 0; i < ncand; i++) keep[cand[i]] = 1;
-    i64 k = 0;
-    for (i64 j = 0; j < nids; j++) {
-        if (keep[ids[j]]) {
-            sel_ids[k] = ids[j];
-            reg_idx[k] = j;
-            k++;
-        }
-    }
-    return k;
 }
 
 i64 row_filter(const double *powers, const double *thresholds,
@@ -244,10 +225,6 @@ def _build_library() -> ctypes.CDLL:
     lib.nasch_step.restype = _c_i64
     lib.cyclic_gaps.argtypes = [_PTR, _c_i64, _PTR, _c_i64]
     lib.cyclic_gaps.restype = None
-    lib.row_select.argtypes = [
-        _PTR, _c_i64, _PTR, _c_i64, _PTR, _c_i64, _PTR, _PTR,
-    ]
-    lib.row_select.restype = _c_i64
     lib.row_filter.argtypes = [_PTR, _PTR, _PTR, _c_i64, _c_i64, _PTR]
     lib.row_filter.restype = _c_i64
     lib.dcf_consume_backoffs.argtypes = [
@@ -262,9 +239,8 @@ def _build_library() -> ctypes.CDLL:
 class CjitBackend(VectorBackend):
     """Generated-C kernels (``kernels="cjit"``).
 
-    Inherits the vectorized ``row_distances`` (numpy hypot — the
-    no-transcendentals rule) and overrides every branchy loop with the
-    compiled translation.  All C calls receive raw buffer addresses;
+    Overrides every branchy loop with the compiled translation.  All C
+    calls receive raw buffer addresses;
     a zero-length array's address is never dereferenced (every loop is
     bounded by the explicit ``n`` argument).
     """
@@ -275,7 +251,6 @@ class CjitBackend(VectorBackend):
     def __init__(self) -> None:
         super().__init__()
         self._lib = _build_library()
-        self._keep_u8: dict = {}
 
     def nasch_step(self, pos, vel, gaps_out, wrapped_out, draws,
                    use_draws, p, v_max, num_cells) -> int:
@@ -294,22 +269,6 @@ class CjitBackend(VectorBackend):
                 pos.ctypes.data, num_cells, out.ctypes.data, n
             )
         return out
-
-    def row_select(self, cand, ids, num_positions):
-        cand = np.ascontiguousarray(cand, dtype=np.int64)
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        keep = self._keep_u8.get(num_positions)
-        if keep is None:
-            keep = np.zeros(num_positions, dtype=np.uint8)
-            self._keep_u8[num_positions] = keep
-        sel_ids = np.empty(len(ids), dtype=np.int64)
-        reg_idx = np.empty(len(ids), dtype=np.int64)
-        k = int(self._lib.row_select(
-            cand.ctypes.data, len(cand), ids.ctypes.data, len(ids),
-            keep.ctypes.data, num_positions,
-            sel_ids.ctypes.data, reg_idx.ctypes.data,
-        ))
-        return sel_ids[:k], reg_idx[:k]
 
     def row_filter(self, powers, thresholds, sel_ids, sender_id):
         powers = np.ascontiguousarray(powers, dtype=np.float64)

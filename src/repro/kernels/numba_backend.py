@@ -22,12 +22,8 @@ from repro.kernels.vector import VectorBackend
 
 
 class NumbaBackend(VectorBackend):
-    """JIT-compiled kernels (``kernels="numba"``).
-
-    Inherits the vectorized ``row_distances`` (numpy hypot — the
-    no-transcendentals rule keeps libm out of jitted code) and compiles
-    every branchy reference loop.
-    """
+    """JIT-compiled kernels (``kernels="numba"``): every branchy
+    reference loop, compiled."""
 
     name = "numba"
     compiled = True
@@ -41,7 +37,6 @@ class NumbaBackend(VectorBackend):
         jit = njit(cache=True)
         self._nasch_step = jit(pyref.nasch_step)
         self._cyclic_gaps = jit(pyref.cyclic_gaps)
-        self._row_select = jit(pyref.row_select)
         self._row_filter = jit(pyref.row_filter)
         self._dcf_consume_backoffs = jit(pyref.dcf_consume_backoffs)
         self._dcf_expired_navs = jit(pyref.dcf_expired_navs)
@@ -60,15 +55,6 @@ class NumbaBackend(VectorBackend):
                 np.ascontiguousarray(pos, dtype=np.int64), num_cells, out
             )
         return out
-
-    def row_select(self, cand, ids, num_positions):
-        cand = np.ascontiguousarray(cand, dtype=np.int64)
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        keep = self._keep(num_positions)
-        sel_ids = np.empty(len(ids), dtype=np.int64)
-        reg_idx = np.empty(len(ids), dtype=np.int64)
-        k = int(self._row_select(cand, ids, keep, sel_ids, reg_idx))
-        return sel_ids[:k], reg_idx[:k]
 
     def row_filter(self, powers, thresholds, sel_ids, sender_id):
         sel_ids = np.ascontiguousarray(sel_ids, dtype=np.int64)

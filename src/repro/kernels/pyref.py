@@ -1,7 +1,7 @@
 """Pure-Python reference kernels: the bit-identity ground truth.
 
 Every function here is the explicit-loop statement of one hot inner
-loop — the NaSch update, link-cache row construction, DCF bookkeeping.
+loop — the NaSch update, the link-cache receiver filter, DCF bookkeeping.
 They are written in the *nopython* subset shared by Numba and a
 line-for-line C translation (see :mod:`repro.kernels.cjit`): plain
 ``for`` loops over preallocated int64/float64/bool arrays, no Python
@@ -86,27 +86,6 @@ def cyclic_gaps(pos, num_cells, out):
         return
     for i in range(n):
         out[i] = (pos[(i + 1) % n] - pos[i] - 1) % num_cells
-
-
-def row_select(cand, ids, keep, sel_ids, reg_idx):
-    """Filter registered radios through a spatial candidate set.
-
-    ``keep`` is a bool scratch of length num-positions (overwritten);
-    ``sel_ids``/``reg_idx`` are int64 outputs of length ``len(ids)``.
-    Returns the number of surviving radios; survivors keep the
-    registration order of ``ids`` (the scalar-loop visit order).
-    """
-    for i in range(keep.shape[0]):
-        keep[i] = False
-    for i in range(cand.shape[0]):
-        keep[cand[i]] = True
-    k = 0
-    for j in range(ids.shape[0]):
-        if keep[ids[j]]:
-            sel_ids[k] = ids[j]
-            reg_idx[k] = j
-            k += 1
-    return k
 
 
 def row_filter(powers, thresholds, sel_ids, sender, out_idx):

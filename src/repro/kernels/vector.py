@@ -2,7 +2,7 @@
 
 These are the exact numpy expressions the components executed inline
 before the kernels package existed — ``np.roll``-based gaps, masked
-``np.where`` dawdling, boolean-scatter candidate selection — so the
+``np.where`` dawdling, masked receiver filtering — so the
 ``"vector"`` backend is bit-identical to the historical behaviour *by
 construction* (same operations on the same operands), and serves as
 the fallback when no compiled backend can be built.
@@ -55,17 +55,6 @@ class VectorBackend(KernelBackend):
         return (leader - pos - 1) % num_cells
 
     # -- PHY link-cache rows -------------------------------------------------
-
-    def row_select(self, cand, ids, num_positions):
-        keep = np.zeros(num_positions, dtype=bool)
-        keep[cand] = True
-        keep_reg = keep[ids]
-        reg_idx = np.nonzero(keep_reg)[0]
-        return ids[keep_reg], reg_idx
-
-    def row_distances(self, positions, sel_ids, sender_id) -> np.ndarray:
-        delta = positions[sel_ids] - positions[sender_id]
-        return np.hypot(delta[:, 0], delta[:, 1])
 
     def row_filter(self, powers, thresholds, sel_ids, sender_id):
         mask = (powers >= thresholds) & (sel_ids != sender_id)

@@ -4,8 +4,9 @@ The ``kernels`` namespace promises that every backend computes the
 same thing — only the clock changes.  This suite holds the backends to
 that promise at three levels: per-kernel (randomized array inputs
 through each method, compared elementwise against the pure-Python
-reference), per-model (full NaSch / multilane trajectories under a
-shared seed), and per-ledger (DcfBook's scalar updates versus its
+reference; grid link-cache rows against per-link reference loops),
+per-model (full NaSch / multilane trajectories under a shared seed),
+and per-ledger (DcfBook's scalar updates versus its
 batched backend-routed sweeps).  Around the identity core sit the
 plumbing tests: warn-once fallback when numba is missing (an import
 blocker makes that deterministic on any machine), case-insensitive
@@ -13,6 +14,7 @@ registry resolution, singleton caching, the ``REPRO_KERNELS``
 override, and pickling backends by name across a journal boundary.
 """
 
+import dataclasses
 import pickle
 import sys
 import warnings
@@ -24,7 +26,16 @@ import repro.kernels as kernels_pkg
 from repro.ca.multilane import MultiLaneRoad
 from repro.ca.nasch import Boundary, NagelSchreckenberg
 from repro.kernels import DcfBook, KernelBackend, resolve_backend
+from repro.des.engine import Simulator
 from repro.kernels.vector import VectorBackend
+from repro.mac.frames import Frame, FrameType
+from repro.net.address import BROADCAST
+from repro.net.packet import Packet
+from repro.phy.channel import Channel
+from repro.phy.params import PhyParams
+from repro.phy.propagation import TwoRayGround
+from repro.phy.radio import Radio
+from repro.phy.spatial import UniformGridIndex
 
 
 def _distinct_backends():
@@ -113,32 +124,90 @@ def test_cyclic_gaps_matches_reference(backend, n):
     )
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_row_select_matches_reference(backend, seed):
+GRID_CELL = 250.0
+
+
+def _reference_distances(positions, sel_ids, sender):
+    """One scalar ``np.hypot`` per link: the per-link reference."""
+    out = np.empty(len(sel_ids))
+    for i, node in enumerate(sel_ids.tolist()):
+        delta = positions[node] - positions[sender]
+        out[i] = np.hypot(delta[0], delta[1])
+    return out
+
+
+def _grid_channel(backend, seed):
+    """A grid channel over random positions (negative coordinates, some
+    on cell edges) with a shuffled subset of nodes registered and two
+    transmit powers, so every row finishes through the backend's
+    ``row_filter``; every registered radio has sent one frame."""
     rng = np.random.default_rng(seed)
     num_positions = 50
-    cand = rng.choice(num_positions, size=rng.integers(0, 30), replace=False)
+    positions = rng.uniform(-800.0, 800.0, size=(num_positions, 2))
+    positions[::6] = np.round(positions[::6] / GRID_CELL) * GRID_CELL
     ids = rng.permutation(num_positions)[: rng.integers(1, num_positions)]
-    got = backend.row_select(cand, ids, num_positions)
-    want = REFERENCE.row_select(cand, ids, num_positions)
-    for got_arr, want_arr in zip(got, want):
-        np.testing.assert_array_equal(got_arr, want_arr)
+    sim = Simulator()
+    channel = Channel(
+        sim, TwoRayGround(), lambda: positions,
+        spatial=UniformGridIndex(GRID_CELL), kernels=backend,
+    )
+    params = PhyParams.for_ranges(TwoRayGround(), 100.0, GRID_CELL)
+    quiet = dataclasses.replace(params, tx_power_w=params.tx_power_w / 2)
+    for k, node in enumerate(ids.tolist()):
+        Radio(sim, node, quiet if k % 2 else params, channel)
+    for node in ids.tolist():
+        packet = Packet("DATA", node, BROADCAST, 100, 0.0)
+        channel.transmit(
+            node, Frame(FrameType.DATA, node, BROADCAST, 128, packet=packet),
+            0.001,
+        )
+    return positions, ids, channel
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_row_select_matches_reference(backend, seed):
+    """Grid rows select the registered radios in the sender's 3 x 3
+    cell neighbourhood, in registration order (one neighbour table per
+    slot), and deliver what the reference loops deliver."""
+    positions, ids, channel = _grid_channel(backend, seed)
+    cells = np.floor(positions / GRID_CELL)
+    for reg, sender in enumerate(ids.tolist()):
+        near = [
+            node for node in ids.tolist()
+            if np.all(np.abs(cells[node] - cells[sender]) <= 1)
+        ]
+        start, end = channel._tbl_offsets[reg:reg + 2]
+        assert ids[channel._tbl_cols[start:end]].tolist() == near
+        sel_ids = np.array(near, dtype=np.int64)
+        dist = _reference_distances(positions, sel_ids, sender)
+        radio = channel._radios[sender]
+        powers = TwoRayGround().rx_power_vector(radio.tx_power_w, dist)
+        thresholds = np.array(
+            [channel._radios[n].cs_threshold_w for n in near]
+        )
+        idx = REFERENCE.row_filter(powers, thresholds, sel_ids, sender)
+        radios, row_powers, _ = channel._rows[sender]
+        assert [r.node_id for r in radios] == sel_ids[idx].tolist()
+        assert row_powers == powers[idx].tolist()
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_row_distances_and_filter_match_reference(backend, seed):
+    positions, ids, channel = _grid_channel(backend, 100 + seed)
+    # Bit-equal, not approximately equal: the table's vectorized hypot
+    # and the per-link scalar hypot are the same numpy ufunc.
+    for reg, sender in enumerate(ids.tolist()):
+        start, end = channel._tbl_offsets[reg:reg + 2]
+        sel_ids = ids[channel._tbl_cols[start:end]]
+        np.testing.assert_array_equal(
+            channel._tbl_dist[start:end],
+            _reference_distances(positions, sel_ids, sender),
+        )
+
     rng = np.random.default_rng(100 + seed)
     num_nodes = 30
-    positions = rng.uniform(-500.0, 500.0, size=(num_nodes, 2))
     sel_ids = np.arange(num_nodes, dtype=np.int64)
     sender = int(rng.integers(num_nodes))
-
-    dist_ref = REFERENCE.row_distances(positions, sel_ids, sender)
-    dist_obs = backend.row_distances(positions, sel_ids, sender)
-    # Bit-equal, not approximately equal: hypot stays on the numpy
-    # ufunc on every backend (the no-transcendentals rule).
-    np.testing.assert_array_equal(dist_obs, dist_ref)
-
     powers = rng.uniform(0.0, 2e-9, size=num_nodes)
     powers[rng.integers(num_nodes)] = np.nan  # NaN drops on every backend
     thresholds = np.full(num_nodes, 1e-9)
