@@ -22,7 +22,7 @@ transient costs ``warmup x N`` CA cell updates before the network
 starts, which is exactly the loop the kernels compile — at N = 3000
 it dominates the reference trial, as ``repro run --profile`` shows.
 
-When no compiled backend is available (no numba, no C compiler) the
+When no compiled backend is available (no C compiler) the
 JSON is still written, flagged ``"compiled": false``, and the floor
 assertion is skipped — the fallback machine still proves identity.
 """

@@ -150,7 +150,6 @@ def fundamental_diagram(
         telemetry=telemetry,
         backend=backend,
         lease_ttl_s=lease_ttl_s,
-        retry_seed=streams.seed,
     )
     try:
         outcomes = runner.run(specs, journal=journal)

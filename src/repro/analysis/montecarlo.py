@@ -119,7 +119,6 @@ def monte_carlo(
         telemetry=telemetry,
         backend=backend,
         lease_ttl_s=lease_ttl_s,
-        retry_seed=streams.seed,
     )
     try:
         outcomes = runner.run(specs, journal=journal)

@@ -286,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inspect = journal_commands.add_parser(
         "inspect",
-        help="print the journal's fingerprint, trial/lease/heartbeat "
-        "counts, live lease owners and quarantined trials; exits 3 "
+        help="print the journal's fingerprint, trial/lease counts, "
+        "open lease owners and quarantined trials; exits 3 "
         "when quarantined trials exist",
     )
     inspect.add_argument("path", help="journal file to inspect")
@@ -406,8 +406,8 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         dest="lease_ttl",
-        help="supervised backend: how long one worker owns one trial "
-        "before its lease must be extended or reclaimed (default 30)",
+        help="queue backends: how long a silent worker's claim stays "
+        "frozen before it is reclaimed (default 30)",
     )
     parser.add_argument(
         "--max-retries",

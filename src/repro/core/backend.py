@@ -15,18 +15,13 @@ namespace, ``backend``:
     timeouts, crash/corruption retry.  Degrades per-trial to serial when
     a worker cannot be launched, and wholesale when ``multiprocessing``
     is unavailable.
-``local-supervised``
-    The pool plus *supervision*: lease-based trial ownership layered on
-    the journal (append-only lease records; expired leases are reclaimed
-    without double-counting because results only ever come from
-    ``trial`` records), worker heartbeats with a monitor that
-    distinguishes **hung** (missed heartbeats → SIGKILL and reclaim)
-    from **slow** (healthy heartbeats past the lease deadline → bounded
-    extensions) from **dead** (exit code → immediate reclaim),
-    deterministic per-trial retry backoff jittered from a named RNG
-    stream, and a circuit breaker that counts *consecutive
-    infrastructure failures* and degrades the campaign down the ladder
-    ``supervised → process pool → serial`` rather than failing it.
+``dir-queue`` / ``local-supervised``
+    The claim-file job queue of :mod:`repro.core.distq`: persistent
+    workers claim trials with ``O_EXCL`` files and fencing tokens,
+    heartbeat through the queue, and commit results through the fence.
+    ``local-supervised`` is the same backend over a private temporary
+    directory (the name predates the queue and stays accepted, so saved
+    scenarios and campaign fingerprints keep working).
 ``auto``
     ``local-serial`` for ``max_workers == 1``, else ``local-process`` —
     the historical behaviour of the runner before backends existed.
@@ -34,66 +29,26 @@ namespace, ``backend``:
 Every backend receives the *dense* spec list (journal-resume holes
 already removed by the runner) and must return bit-identical values for
 identical specs: supervision changes failure handling, never results.
-
-Determinism of the retry *schedule* is part of the contract: the backoff
-before attempt ``k`` of a trial is a pure function of ``(retry_seed,
-trial key, k)`` — see :func:`retry_backoff_schedule` — so a campaign
-retried on one worker sleeps exactly as long as the same campaign
-retried on eight.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
-import threading
 import time
-import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.core.journal import LeaseRecord, TrialJournal, trial_key_id
+from repro.core.journal import TrialJournal
 from repro.core.registry import register
 from repro.core.runner import TrialOutcome, TrialRunner, TrialSpec
-from repro.util.rng import RngStreams
 
-#: The degradation ladder, most to least capable.  The circuit breaker
-#: (and the dir-queue backend's directory health probe) moves a campaign
-#: down one rung at a time; the bottom rung cannot fail from
-#: infrastructure because it launches no workers.
+#: The degradation ladder, most to least capable.  The dir-queue
+#: backend's health probe moves a campaign down one rung; the process
+#: pool drops to serial when it cannot launch workers.  The bottom rung
+#: cannot fail from infrastructure because it launches no workers.
 DEGRADATION_LADDER: Tuple[str, ...] = (
     "dir-queue",
-    "local-supervised",
     "local-process",
     "local-serial",
 )
-
-
-def retry_backoff_schedule(
-    retry_seed: int,
-    key: Any,
-    max_attempts: int,
-    base_s: float = 0.05,
-    cap_s: float = 2.0,
-) -> Tuple[float, ...]:
-    """The delays (seconds) before attempts ``2..max_attempts`` of ``key``.
-
-    Exponential backoff with seeded jitter: delay ``k`` (0-based) is
-    ``min(cap_s, base_s * 2**k)`` scaled by a jitter factor in
-    ``[0.5, 1.0)`` drawn from the trial's own named RNG stream
-    (``"retry-backoff:<key id>"`` under ``retry_seed``).  A pure function
-    of its arguments — independent of worker count, wall clock and
-    execution order — which is what makes retry timing reproducible and
-    testable.
-    """
-    steps = max(0, int(max_attempts) - 1)
-    if steps == 0:
-        return ()
-    rng = RngStreams(retry_seed).stream("retry-backoff:" + trial_key_id(key))
-    jitter = rng.random(steps)
-    return tuple(
-        min(cap_s, base_s * (2.0**k)) * (0.5 + 0.5 * float(jitter[k]))
-        for k in range(steps)
-    )
 
 
 class ExecutionBackend:
@@ -224,558 +179,6 @@ class LocalProcessBackend(ExecutionBackend):
         return [outcome for outcome in results if outcome is not None]
 
 
-# -- supervised backend -------------------------------------------------------
-
-
-def _supervised_worker_main(
-    fn, args, kwargs, conn, heartbeat_interval_s, heartbeats_enabled
-) -> None:
-    """Worker entry point with a heartbeat side-channel.
-
-    A daemon thread sends ``("hb", seq)`` over the result pipe every
-    ``heartbeat_interval_s`` while the trial runs; the terminal
-    ``("ok"/"error", payload)`` message uses the same pipe, serialised by
-    a lock so a heartbeat can never interleave into a half-sent result.
-    ``heartbeats_enabled=False`` exists solely for chaos testing: a muted
-    worker computes normally but looks *hung* to the monitor.
-    """
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def beat() -> None:
-        seq = 0
-        while not stop.wait(heartbeat_interval_s):
-            seq += 1
-            try:
-                with lock:
-                    conn.send(("hb", seq))
-            except Exception:
-                return  # parent gone; the trial's fate no longer matters
-
-    if heartbeats_enabled:
-        threading.Thread(target=beat, daemon=True).start()
-    try:
-        value = fn(*args, **kwargs)
-        stop.set()
-        try:
-            with lock:
-                conn.send(("ok", value))
-        except Exception as exc:  # result not picklable / pipe gone
-            with lock:
-                conn.send(("error", f"result could not be returned: {exc!r}"))
-    except BaseException as exc:
-        stop.set()
-        with lock:
-            conn.send(
-                ("error",
-                 f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
-            )
-    finally:
-        stop.set()
-        conn.close()
-
-
-@dataclasses.dataclass
-class _Supervised:
-    """Book-keeping for one in-flight supervised worker."""
-
-    index: int
-    attempt: int
-    process: Any
-    conn: Any
-    started: float        # monotonic
-    last_beat: float      # monotonic time of the most recent heartbeat
-    lease_deadline: float  # monotonic mirror of the journalled deadline
-    extensions: int = 0
-    timeout_deadline: Optional[float] = None
-
-
-class SupervisedBackend(ExecutionBackend):
-    """The process pool under lease/heartbeat supervision.
-
-    See the module docstring for the model.  All supervision state is
-    parent-side and single-threaded; workers only differ from the plain
-    pool's by the heartbeat thread.
-    """
-
-    name = "local-supervised"
-
-    def __init__(self, runner: TrialRunner) -> None:
-        super().__init__(runner)
-        self.owner = f"runner-{os.getpid()}"
-        ttl = runner.lease_ttl_s
-        self.heartbeat_s = (
-            runner.heartbeat_interval_s
-            if runner.heartbeat_interval_s is not None
-            else max(0.01, ttl / 5.0)
-        )
-        # A worker is *hung* once this long passes without a heartbeat.
-        # Three missed beats plus slack tolerates scheduler jitter while
-        # still catching a muted worker well before a long lease expires.
-        self.miss_budget_s = 3.0 * self.heartbeat_s + 0.05
-
-    # -- lease bookkeeping (journal-backed when a journal exists) -----------
-
-    def _grant(self, journal, key, attempt, leases, ttl=None):
-        ttl = self.runner.lease_ttl_s if ttl is None else ttl
-        if journal is not None:
-            lease = journal.record_lease(key, self.owner, attempt, ttl)
-        else:
-            lease = LeaseRecord(
-                key_id=trial_key_id(key),
-                owner=self.owner,
-                attempt=attempt,
-                deadline_unix=time.time() + ttl,
-            )
-            leases[lease.key_id] = lease
-        return lease
-
-    def _release(self, journal, key, leases) -> None:
-        if journal is None:
-            leases.pop(trial_key_id(key), None)
-        # With a journal the trial record itself releases the lease.
-
-    def run(self, specs, journal=None):  # noqa: C901 - one cohesive monitor
-        runner = self.runner
-        context = runner._context()
-        if context is None:
-            runner._record_event(
-                "degraded", detail="local-supervised->local-serial "
-                "(multiprocessing unavailable)",
-            )
-            if journal is not None:
-                journal.record_campaign_event(
-                    "degraded", "local-supervised->local-serial"
-                )
-            return LocalSerialBackend(runner).run(specs, journal)
-
-        specs = list(specs)
-        results: List[Optional[TrialOutcome]] = [None] * len(specs)
-        # Pending entries: (index, attempt, not_before_monotonic).
-        pending: List[Tuple[int, int, float]] = [
-            (i, 1, 0.0) for i in range(len(specs))
-        ]
-        active: List[_Supervised] = []
-        leases: Dict[str, LeaseRecord] = (
-            journal.leases if journal is not None else {}
-        )
-        schedules: Dict[int, Tuple[float, ...]] = {}
-        retries_left = runner.campaign_retry_budget
-        consecutive_infra = 0
-        breaker_open = False
-        contended: set = set()
-
-        # Chaos lease contention: plant a short-lived foreign ("ghost")
-        # lease on the trial before its first launch; the ordinary
-        # foreign-lease arbitration below must wait it out and reclaim.
-        if runner.chaos is not None:
-            for i, spec in enumerate(specs):
-                if runner.chaos.contends_for(i):
-                    ghost_ttl = min(0.25, runner.lease_ttl_s)
-                    if journal is not None:
-                        journal.record_lease(
-                            spec.key, "chaos-ghost", 0, ghost_ttl
-                        )
-                    else:
-                        kid = trial_key_id(spec.key)
-                        leases[kid] = LeaseRecord(
-                            key_id=kid,
-                            owner="chaos-ghost",
-                            attempt=0,
-                            deadline_unix=time.time() + ghost_ttl,
-                        )
-                    runner._record_event("lease-contended", key=spec.key)
-
-        def backoff_for(index: int, attempt_done: int) -> float:
-            """Delay before re-attempting ``index`` (0.0 if none left)."""
-            if index not in schedules:
-                schedules[index] = retry_backoff_schedule(
-                    runner.retry_seed,
-                    specs[index].key,
-                    runner.max_attempts,
-                    runner.retry_backoff_base_s,
-                    runner.retry_backoff_cap_s,
-                )
-            schedule = schedules[index]
-            step = attempt_done - 1
-            return schedule[step] if step < len(schedule) else 0.0
-
-        def settle(
-            index, attempt, status, elapsed, value=None, error=None,
-            infra=False,
-        ):
-            nonlocal consecutive_infra, retries_left
-            spec = specs[index]
-            runner._record(spec.key, attempt, status, elapsed, error)
-            if status == "ok":
-                consecutive_infra = 0
-                self._release(journal, spec.key, leases)
-                if journal is not None:
-                    journal.record_success(spec.key, value, attempt, elapsed)
-                results[index] = TrialOutcome(
-                    key=spec.key,
-                    index=index,
-                    value=value,
-                    attempts=attempt,
-                    wall_clock_s=elapsed,
-                )
-                runner._emit(results[index])
-                return
-            if infra:
-                consecutive_infra += 1
-            else:
-                consecutive_infra = 0
-            retry_ok = attempt < runner.max_attempts and not breaker_open
-            if retry_ok and retries_left is not None:
-                if retries_left <= 0:
-                    retry_ok = False
-                    runner._record_event(
-                        "retry-budget-exhausted", key=spec.key
-                    )
-                else:
-                    retries_left -= 1
-            if retry_ok:
-                delay = backoff_for(index, attempt)
-                runner._record_event(
-                    "retry-backoff",
-                    key=spec.key,
-                    detail=f"attempt {attempt + 1} in {delay:.6f}s",
-                )
-                pending.append((index, attempt + 1, time.monotonic() + delay))
-            else:
-                self._release(journal, spec.key, leases)
-                if journal is not None:
-                    journal.record_failure(spec.key, error or "", attempt)
-                results[index] = TrialOutcome(
-                    key=spec.key,
-                    index=index,
-                    error=error,
-                    attempts=attempt,
-                    wall_clock_s=elapsed,
-                    timed_out=status == "timeout",
-                    infrastructure=infra,
-                )
-
-        def kill(worker: _Supervised) -> None:
-            # SIGKILL, not terminate(): a hung worker may ignore SIGTERM.
-            # Safe on an already-exited process (the signal just bounces).
-            worker.process.kill()
-            worker.process.join()
-            worker.conn.close()
-
-        def launch(index: int, attempt: int) -> bool:
-            """Arbitrate the lease, then start a worker; False = not yet."""
-            spec = specs[index]
-            kid = trial_key_id(spec.key)
-            lease = leases.get(kid)
-            if lease is not None and lease.owner != self.owner:
-                if not lease.expired():
-                    # A foreign claim is still live (previous run, or a
-                    # chaos ghost): wait it out rather than double-run.
-                    pending.append(
-                        (index, attempt, time.monotonic() + 0.05)
-                    )
-                    return False
-                attempt = max(attempt, lease.attempt + 1)
-                attempt = min(attempt, runner.max_attempts)
-                runner._record_event(
-                    "lease-reclaimed",
-                    key=spec.key,
-                    detail=f"expired lease of {lease.owner!r}",
-                )
-                if index in contended:
-                    contended.discard(index)
-            fn, args, kwargs = spec.fn, spec.args, spec.kwargs
-            heartbeats = True
-            if runner.chaos is not None:
-                mode = runner.chaos.mode_for(index, attempt)
-                if mode is not None:
-                    fn, args, kwargs = runner.chaos.wrap(
-                        fn, args, kwargs, mode
-                    )
-                    if mode == "mute":
-                        heartbeats = False
-            recv_conn, send_conn = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_supervised_worker_main,
-                args=(
-                    fn, args, kwargs, send_conn,
-                    self.heartbeat_s, heartbeats,
-                ),
-                daemon=True,
-            )
-            try:
-                process.start()
-            except Exception:
-                recv_conn.close()
-                send_conn.close()
-                results[index] = runner._run_serial(index, spec, journal)
-                return True
-            send_conn.close()
-            now = time.monotonic()
-            self._grant(journal, spec.key, attempt, leases)
-            runner._record_event("lease-granted", key=spec.key)
-            active.append(
-                _Supervised(
-                    index=index,
-                    attempt=attempt,
-                    process=process,
-                    conn=recv_conn,
-                    started=now,
-                    last_beat=now,
-                    lease_deadline=now + runner.lease_ttl_s,
-                    timeout_deadline=(
-                        now + runner.trial_timeout_s
-                        if runner.trial_timeout_s is not None
-                        else None
-                    ),
-                )
-            )
-            return True
-
-        def poll(worker: _Supervised, now: float) -> bool:
-            """Drain heartbeats, classify the worker, settle if terminal."""
-            spec = specs[worker.index]
-            elapsed = now - worker.started
-            while worker.conn.poll():
-                infra = False
-                try:
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    message = (
-                        "error",
-                        "worker pipe closed before a result arrived",
-                    )
-                    infra = True
-                except Exception as exc:
-                    message = (
-                        "error",
-                        f"result could not be unpickled: {exc!r}",
-                    )
-                    infra = True
-                if (
-                    isinstance(message, tuple)
-                    and len(message) == 2
-                    and message[0] == "hb"
-                ):
-                    worker.last_beat = now
-                    if journal is not None:
-                        journal.record_heartbeat(
-                            spec.key, self.owner, message[1]
-                        )
-                    continue
-                status, payload = message
-                worker.process.join()
-                worker.conn.close()
-                if status == "ok" and worker.process.exitcode not in (0, None):
-                    status, payload, infra = (
-                        "error",
-                        "worker exited with code "
-                        f"{worker.process.exitcode} after sending its result",
-                        True,
-                    )
-                if status == "ok":
-                    settle(
-                        worker.index, worker.attempt, "ok", elapsed, payload
-                    )
-                else:
-                    if infra:
-                        # The owner is gone or its pipe is damaged: it
-                        # cannot release the lease itself, so this is a
-                        # reclaim, not an ordinary release.
-                        runner._record_event(
-                            "lease-reclaimed", key=spec.key
-                        )
-                    settle(
-                        worker.index, worker.attempt, "error", elapsed,
-                        error=payload, infra=infra,
-                    )
-                return True
-            if not worker.process.is_alive():
-                # Dead: the exit code is the diagnosis; reclaim at once.
-                exitcode = worker.process.exitcode
-                worker.process.join()
-                worker.conn.close()
-                runner._record_event(
-                    "worker-dead", key=spec.key,
-                    detail=f"exit code {exitcode}",
-                )
-                runner._record_event("lease-reclaimed", key=spec.key)
-                settle(
-                    worker.index, worker.attempt, "error", elapsed,
-                    error=f"worker crashed (exit code {exitcode})",
-                    infra=True,
-                )
-                return True
-            if worker.timeout_deadline is not None and (
-                now >= worker.timeout_deadline
-            ):
-                kill(worker)
-                runner._record_event("lease-reclaimed", key=spec.key)
-                settle(
-                    worker.index, worker.attempt, "timeout", elapsed,
-                    error="trial exceeded trial_timeout_s="
-                          f"{runner.trial_timeout_s}",
-                    infra=True,
-                )
-                return True
-            if now - worker.last_beat > self.miss_budget_s:
-                # Hung: alive but silent.  SIGKILL and reclaim the lease.
-                kill(worker)
-                runner._record_event(
-                    "heartbeat-missed", key=spec.key,
-                    detail=f"silent for {now - worker.last_beat:.3f}s",
-                )
-                runner._record_event("lease-reclaimed", key=spec.key)
-                settle(
-                    worker.index, worker.attempt, "error", elapsed,
-                    error="worker hung (missed heartbeats); lease reclaimed",
-                    infra=True,
-                )
-                return True
-            if now >= worker.lease_deadline:
-                # Past the lease but heartbeating: *slow*, not hung.
-                if worker.extensions < runner.max_lease_extensions:
-                    worker.extensions += 1
-                    worker.lease_deadline = now + runner.lease_ttl_s
-                    self._grant(journal, spec.key, worker.attempt, leases)
-                    runner._record_event(
-                        "lease-extended", key=spec.key,
-                        detail=f"extension {worker.extensions}",
-                    )
-                else:
-                    kill(worker)
-                    runner._record_event("lease-reclaimed", key=spec.key)
-                    settle(
-                        worker.index, worker.attempt, "error", elapsed,
-                        error="worker exceeded its lease after "
-                              f"{worker.extensions} extensions",
-                        infra=True,
-                    )
-                    return True
-            return False
-
-        try:
-            while pending or active:
-                now = time.monotonic()
-                launchable = [
-                    entry for entry in pending if entry[2] <= now
-                ]
-                while launchable and len(active) < runner.max_workers:
-                    entry = launchable.pop(0)
-                    pending.remove(entry)
-                    launch(entry[0], entry[1])
-                progressed = False
-                still_active: List[_Supervised] = []
-                now = time.monotonic()
-                for worker in active:
-                    if poll(worker, now):
-                        progressed = True
-                    else:
-                        still_active.append(worker)
-                active[:] = still_active
-                if consecutive_infra >= runner.breaker_threshold and (
-                    not breaker_open
-                ):
-                    breaker_open = True
-                    break
-                if (pending or active) and not progressed:
-                    time.sleep(
-                        min(runner.poll_interval_s, self.heartbeat_s / 2.0)
-                    )
-        finally:
-            for worker in active:  # interrupted or degrading: no stragglers
-                kill(worker)
-            active[:] = []
-
-        if breaker_open:
-            runner._record_event(
-                "breaker-open",
-                detail=f"{consecutive_infra} consecutive "
-                "infrastructure failures",
-            )
-            if journal is not None:
-                journal.record_campaign_event(
-                    "breaker-open", f"{consecutive_infra} consecutive"
-                )
-            results = self._degrade(specs, results, journal)
-
-        # Bottom rung regardless of the breaker: anything that ended as
-        # an *infrastructure* failure gets one chaos-free serial pass —
-        # serial execution has no infrastructure to fail.
-        results = self._serial_rescue(specs, results, journal)
-        return [outcome for outcome in results if outcome is not None]
-
-    # -- degradation ladder --------------------------------------------------
-
-    def _degrade(self, specs, results, journal):
-        """Breaker open: finish the campaign on the plain process pool.
-
-        Unfinished trials *and* trials that already failed terminally
-        from infrastructure are re-run chaos-free one rung down; their
-        journal failure records are superseded by the new outcomes.
-        """
-        runner = self.runner
-        remaining = [
-            i for i, outcome in enumerate(results)
-            if outcome is None
-            or (not outcome.ok and outcome.infrastructure)
-        ]
-        runner._record_event(
-            "degraded",
-            detail="local-supervised->local-process "
-            f"({len(remaining)} trials)",
-        )
-        if journal is not None:
-            journal.record_campaign_event(
-                "degraded", "local-supervised->local-process"
-            )
-        if not remaining:
-            return results
-        saved_chaos = runner.chaos
-        runner.chaos = None  # sabotage made its point; now finish the run
-        try:
-            sub = LocalProcessBackend(runner).run(
-                [specs[i] for i in remaining], journal
-            )
-        finally:
-            runner.chaos = saved_chaos
-        for outcome in sub:
-            index = remaining[outcome.index]
-            results[index] = dataclasses.replace(outcome, index=index)
-        return results
-
-    def _serial_rescue(self, specs, results, journal):
-        """Re-run infrastructure-failed trials in-process (final rung)."""
-        runner = self.runner
-        rescue = [
-            i for i, outcome in enumerate(results)
-            if outcome is not None
-            and not outcome.ok
-            and outcome.infrastructure
-        ]
-        if not rescue:
-            return results
-        runner._record_event(
-            "degraded",
-            detail=f"local-process->local-serial ({len(rescue)} trials)",
-        )
-        if journal is not None:
-            journal.record_campaign_event(
-                "degraded", "local-process->local-serial"
-            )
-        saved_chaos = runner.chaos
-        runner.chaos = None
-        try:
-            for index in rescue:
-                results[index] = runner._run_serial(
-                    index, specs[index], journal
-                )
-        finally:
-            runner.chaos = saved_chaos
-        return results
-
-
 # -- registry entries ---------------------------------------------------------
 
 
@@ -790,7 +193,6 @@ def _factory(name: str, cls) -> Callable[[TrialRunner], ExecutionBackend]:
 
 _factory("local-serial", LocalSerialBackend)
 _factory("local-process", LocalProcessBackend)
-_factory("local-supervised", SupervisedBackend)
 
 
 @register("backend", "auto")

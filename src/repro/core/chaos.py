@@ -15,9 +15,11 @@ Usage (test-only; production campaigns never construct one)::
     runner = TrialRunner(max_workers=4, trial_timeout_s=5.0, chaos=chaos)
     outcomes = runner.run(specs)   # identical values, noisier telemetry
 
-Sabotage applies to first attempts only, so ``max_attempts >= 2``
-recovers every trial; ``kill_all_attempts_on`` kills *every* attempt of
-a trial — the way to manufacture a journalled failure for resume tests.
+Sabotage applies to first attempts only (fencing generation 1 under the
+queue backends), so ``max_attempts >= 2`` recovers every trial;
+``kill_all_attempts_on`` kills *every* attempt of a trial — the way to
+manufacture a journalled failure on ``local-process``, and a quarantine
+on the queue backends.
 """
 
 from __future__ import annotations
@@ -27,13 +29,6 @@ import pickle
 import signal
 import time
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
-
-#: Sabotage modes, in the order chaos checks them.  ``mute`` (heartbeat
-#: suppression) only differs from ``hang`` under the supervised backend,
-#: which additionally disables the worker's heartbeat thread for muted
-#: attempts — the monitor must then classify the worker as *hung* (no
-#: heartbeats) rather than merely *slow* (heartbeats but no result).
-MODES = ("sigkill", "hang", "corrupt", "mute")
 
 
 def _explode() -> None:
@@ -62,8 +57,8 @@ def sabotage(fn: Callable[..., Any], args, kwargs, mode: str) -> Any:
         # result, exactly like an OOM kill or segfault.
         os.kill(os.getpid(), signal.SIGKILL)
     elif mode in ("hang", "mute"):
-        # Never return: the parent's supervision (timeout, lease cap, or
-        # missed-heartbeat detection for "mute") must terminate us.
+        # Never return: the trial timeout (or, for "mute", one lease TTL
+        # of frozen heartbeats) must terminate us.
         while True:  # pragma: no cover - killed from outside
             time.sleep(3600.0)
     elif mode == "corrupt":
@@ -78,21 +73,23 @@ class ChaosMonkey:
         kill_on: trial indices whose first attempt is SIGKILLed after
             computing its result.
         hang_on: indices whose first attempt hangs forever (requires the
-            runner to enforce ``trial_timeout_s``).
+            runner to enforce ``trial_timeout_s``; the queue backends'
+            worker watchdog SIGKILLs itself and the claim is reclaimed).
         corrupt_on: indices whose first attempt returns a payload that
-            raises while unpickling in the parent.
+            raises while unpickling in the parent (the queue backends
+            discard the result file and hand the trial on).
         kill_all_attempts_on: indices whose *every* attempt is SIGKILLed
             — the trial ends as a journalled failure.
         mute_on: indices whose first attempt goes silent after computing
-            — under the supervised backend its heartbeats are suppressed
-            too, so the monitor must SIGKILL it as *hung* and reclaim
-            the lease (elsewhere it behaves like ``hang_on``).
-        contend_on: indices whose trial starts under a short-lived lease
-            held by a foreign owner ("chaos-ghost").  This is
-            parent-side sabotage consumed only by the supervised
-            backend: it must wait the lease out, reclaim it with the
-            next attempt number, and still produce the identical
-            result exactly once.
+            — under the queue backends its heartbeats stop too, so its
+            claim freezes and is reclaimed after one lease TTL (by the
+            scheduler, which SIGKILLs the silent worker, or by a peer);
+            elsewhere it behaves like ``hang_on``.
+        contend_on: indices whose trial starts under a claim held by a
+            foreign owner that never heartbeats (a "ghost").  Consumed
+            only by the queue backends: workers must wait one lease TTL,
+            take the claim over with the next fencing token, and still
+            produce the identical result exactly once.
 
     Indices refer to positions in the spec sequence handed to
     ``TrialRunner.run`` (after journal-resume filtering).

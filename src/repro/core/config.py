@@ -112,28 +112,28 @@ class Scenario:
         kernels: kernel backend, a registered ``kernels`` component:
             ``"auto"`` (the default — best backend available on this
             machine), ``"python"`` (explicit-loop reference),
-            ``"vector"`` (numpy), ``"numba"`` or ``"cjit"`` (compiled;
-            these warn once and fall back when their toolchain is
-            absent).  Every backend computes bit-identical results —
-            the choice affects wall clock only, never the trajectory.
+            ``"vector"`` (numpy) or ``"cjit"`` (generated C; warns once
+            and falls back to ``vector`` without a compiler).
+            ``"numba"`` is still accepted and resolves like ``"auto"``.
+            Every backend computes bit-identical results — the choice
+            affects wall clock only, never the trajectory.
         backend: campaign execution backend, a registered ``backend``
             component: ``"auto"`` (the default — serial for one worker,
             the process pool otherwise), ``"local-serial"``,
-            ``"local-process"``, ``"local-supervised"`` (the
-            lease/heartbeat-supervised pool) or ``"dir-queue"`` (the
-            shared-directory job queue — multiple hosts mounting one
-            directory drain the same campaign; see
-            :mod:`repro.core.distq`).  Every backend produces
-            bit-identical campaign results; the choice affects failure
-            handling only.
-        lease_ttl_s: supervised and dir-queue backends — how long one
-            worker owns one trial before the monitor must extend (slow)
-            or reclaim (hung/dead) the lease.
+            ``"local-process"``, ``"dir-queue"`` (the claim-file job
+            queue — multiple hosts mounting one directory drain the
+            same campaign; see :mod:`repro.core.distq`) or
+            ``"local-supervised"`` (that queue over a private temporary
+            directory).  Every backend produces bit-identical campaign
+            results; the choice affects failure handling only.
+        lease_ttl_s: queue backends — how long a claim may sit with
+            frozen heartbeats before it is reclaimed.  A worker the
+            scheduler sees exit is reclaimed at once.
         queue_dir: dir-queue backend only — the shared directory holding
             the job queue.  ``None`` (the default) uses an ephemeral
             per-run directory, which still exercises the full claim/
             fencing protocol but cannot be joined by other hosts.
-        quarantine_after: dir-queue backend only — a trial that kills
+        quarantine_after: queue backends — a trial that kills
             this many *distinct* workers is quarantined (parked with its
             traceback, never retried) instead of poisoning the campaign.
         faults: declarative fault-injection specs, a tuple of mappings.

@@ -1,13 +1,13 @@
 """Shared-directory job queue: multi-host campaign execution over files.
 
-The supervised backend (PR 8) bounded every single-host failure mode —
-crashes, hangs, silent workers — but the paper's evaluation campaigns
-(protocol x density x channel grids, 20 seeded trials per point) want
-*several* machines chewing one durable trial queue.  The only
+The paper's evaluation campaigns (protocol x density x channel grids,
+20 seeded trials per point) want one durable trial queue that any
+number of workers — local processes or other machines — can drain
+while crashes, hangs and silent workers stay bounded.  The only
 coordination substrate such machines reliably share is a filesystem
 (NFS, a synced scratch dir, or plain ``/tmp`` for same-host workers), so
-this module builds the whole distributed contract out of two filesystem
-primitives that are atomic everywhere that matters:
+this module builds the whole contract out of two filesystem primitives
+that are atomic everywhere that matters:
 
 * ``O_CREAT | O_EXCL`` — at most one creator wins, ever;
 * ``rename`` within a directory — a file appears complete or not at all.
@@ -61,15 +61,24 @@ Layout of a queue directory::
       results/<id>.result  pickled fenced result (atomic rename commit)
       quarantine/<id>.json parked poison trials
 
+**Instant reclaim on a seen exit.**  The scheduler knows the identity
+of every worker it spawned, so when it sees one exit it hands any claim
+that worker held to the next fencing generation at once (charging the
+death ledger exactly as a TTL-expired takeover would) instead of
+waiting a full TTL for the frozen signature.  A worker that is alive
+but silent is caught after one TTL of frozen signature — by a peer, or
+by the scheduler, which SIGKILLs its own silent worker and reclaims.
+
 Workers (:func:`run_worker_loop`, the ``repro worker`` CLI) need nothing
 but this directory; the scheduling side
-(:class:`DirQueueBackend`, registered as ``backend="dir-queue"``) is one
-more peer that also spawns local workers, mirrors observed claims into
-the campaign journal as lease records, journals each result exactly
-once, and degrades down the PR 8 ladder (``dir-queue →
-local-supervised → local-process → local-serial``) when the shared
-directory goes read-only, stat latency spikes, or workers die faster
-than the respawn budget.
+(:class:`DirQueueBackend`, registered as ``backend="dir-queue"``, and
+as ``backend="local-supervised"`` over a private temporary directory)
+is one more peer that also spawns local workers, mirrors observed
+claims into the campaign journal as lease records, journals each
+result exactly once, and degrades down the ladder (``dir-queue →
+local-process → local-serial``) when the queue directory goes
+read-only, stat latency spikes, or workers die faster than the respawn
+budget.
 
 Like every backend, ``dir-queue`` must be bit-identical to
 ``local-serial``: trials are pure functions of their spec, so *who* runs
@@ -84,6 +93,7 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import signal
 import socket
 import tempfile
@@ -93,11 +103,11 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import chaos as _chaos
-from repro.core.backend import ExecutionBackend, SupervisedBackend
-from repro.core.journal import TrialJournal, trial_key_id
+from repro.core.backend import ExecutionBackend, LocalProcessBackend
+from repro.core.journal import trial_key_id
 from repro.core.registry import register
 from repro.core.runner import TrialOutcome, TrialRunner, TrialSpec
-from repro.util.errors import ConfigError, StaleLeaseError, TrialError
+from repro.util.errors import ConfigError, StaleLeaseError
 
 #: Subdirectories of a queue root, created by :meth:`DirQueue.setup`.
 _SUBDIRS = (
@@ -149,7 +159,9 @@ def _stat(path: str):
     return os.stat(path)
 
 
-def worker_identity(epoch: Optional[int] = None) -> str:
+def worker_identity(
+    epoch: Optional[int] = None, pid: Optional[int] = None
+) -> str:
     """``host:pid:epoch`` — unique per worker *incarnation*.
 
     Host and pid alone are not enough: pids are reused, and the
@@ -157,10 +169,12 @@ def worker_identity(epoch: Optional[int] = None) -> str:
     caller-supplied spawn counter, or a microsecond stamp for standalone
     workers) makes a respawned worker a new identity, so a poison trial
     that keeps killing the respawns of one slot still accumulates
-    distinct deaths.
+    distinct deaths.  ``pid`` defaults to this process; the scheduler
+    passes a spawned worker's pid to rebuild that worker's identity.
     """
     stamp = int(time.time() * 1e6) if epoch is None else int(epoch)
-    return f"{socket.gethostname()}:{os.getpid()}:{stamp}"
+    pid = os.getpid() if pid is None else int(pid)
+    return f"{socket.gethostname()}:{pid}:{stamp}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -305,9 +319,6 @@ class DirQueue:
             json.dumps(manifest, sort_keys=True).encode("utf-8"),
         )
 
-    def manifest(self) -> Optional[Dict[str, Any]]:
-        return self._read_json(os.path.join(self.root, "manifest.json"))
-
     @staticmethod
     def _read_json(path: str) -> Optional[Dict[str, Any]]:
         try:
@@ -429,6 +440,51 @@ class DirQueue:
             gen += 1
         return gen
 
+    def _win_generation(
+        self,
+        tid: str,
+        owner: str,
+        current: ClaimState,
+        dead_owner: Optional[str],
+        skip_orphans: bool,
+    ) -> Optional[int]:
+        """Race for the next fencing token; the token won, or ``None``.
+
+        ``None`` means the race was lost — or won and then spent on
+        parking the trial in quarantine (see :meth:`try_takeover`).
+        """
+        token = (
+            self.highest_gen(tid, current.token) + 1
+            if skip_orphans
+            else current.token + 1
+        )
+        marker = self._path("gen", f"{tid}.g{token}")
+        try:
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except OSError:  # FileExistsError: lost; otherwise unwritable
+            return None
+        try:
+            os.write(fd, owner.encode("utf-8"))
+            _fsync_file(fd)
+        finally:
+            os.close(fd)
+        if dead_owner is not None:
+            self.record_death(tid, dead_owner)
+            if len(self.distinct_deaths(tid)) >= self.quarantine_after:
+                task = self.read_task(tid)
+                key_id = (
+                    trial_key_id(task["key"]) if task is not None else tid
+                )
+                self.write_quarantine(
+                    tid,
+                    key_id=key_id,
+                    owners=self.distinct_deaths(tid),
+                    attempts=max(1, current.attempt),
+                    traceback_text=self.last_traceback(tid),
+                )
+                return None
+        return token
+
     def try_takeover(
         self,
         tid: str,
@@ -460,44 +516,35 @@ class DirQueue:
         Exactly one contender can win any given token: the ``O_EXCL``
         generation marker is the whole arbitration.
         """
-        token = (
-            self.highest_gen(tid, current.token) + 1
-            if skip_orphans
-            else current.token + 1
+        token = self._win_generation(
+            tid, owner, current, dead_owner, skip_orphans
         )
-        marker = self._path("gen", f"{tid}.g{token}")
-        try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+        if token is None:
             return None
-        except OSError:
-            return None
-        try:
-            os.write(fd, owner.encode("utf-8"))
-            _fsync_file(fd)
-        finally:
-            os.close(fd)
-        if dead_owner is not None:
-            self.record_death(tid, dead_owner)
-            if len(self.distinct_deaths(tid)) >= self.quarantine_after:
-                task = self.read_task(tid)
-                key_id = (
-                    trial_key_id(task["key"]) if task is not None else tid
-                )
-                self.write_quarantine(
-                    tid,
-                    key_id=key_id,
-                    owners=self.distinct_deaths(tid),
-                    attempts=max(1, current.attempt),
-                    traceback_text=self.last_traceback(tid),
-                )
-                return None
-        attempt = max(1, current.attempt)
         _atomic_write(
             self._path("claims", f"{tid}.claim"),
-            self._claim_payload(owner, token, attempt, False),
+            self._claim_payload(owner, token, max(1, current.attempt), False),
         )
         return self.read_claim(tid)
+
+    def reclaim_dead(self, tid: str, current: ClaimState, by: str) -> None:
+        """Instant reclaim of a claim whose owner is known to be dead.
+
+        For a caller that *saw* the owner exit (the scheduler, for the
+        workers it spawned), waiting a TTL of frozen signature would only
+        idle the trial.  Winning the next generation charges the death
+        ledger exactly like an expired-lease takeover (and may
+        quarantine); the claim is then left *released* under the new
+        token, so any worker takes it over at once through the released
+        path.  Losing the race means a peer already took it over.
+        """
+        token = self._win_generation(tid, by, current, current.owner, False)
+        if token is None:
+            return
+        _atomic_write(
+            self._path("claims", f"{tid}.claim"),
+            self._claim_payload("", token, max(1, current.attempt), True),
+        )
 
     def release(self, tid: str, claim: ClaimState, error: str) -> None:
         """Clean-failure release: same token, attempt bumped, no owner.
@@ -711,6 +758,21 @@ class DirQueue:
         except OSError:
             return  # read-only queue: the health probe reacts
 
+    def ids_in(self, kind: str) -> set:
+        """Task ids with a file in ``kind`` (``claims``, ``results``, ...).
+
+        One directory listing instead of a ``stat`` per task: what the
+        scheduler's poll loop uses to skip tasks with nothing to read.
+        """
+        try:
+            names = os.listdir(self._dir(kind))
+        except OSError:
+            return set()
+        return {
+            name.split(".", 1)[0] for name in names
+            if not name.startswith(".")  # in-flight atomic-write temps
+        }
+
     def stale_markers(self) -> List[str]:
         try:
             return sorted(os.listdir(self._dir("stale")))
@@ -744,10 +806,10 @@ def _run_claimed(
     lets a sabotaged campaign converge to the serial truth — except
     ``kill_all``, which sabotages every generation and drives the
     quarantine path.  A trial that outlives ``trial_timeout_s`` is
-    handled by SIGKILLing *ourselves* from the heartbeat thread: the
-    lease then freezes, a peer reclaims, and the death ledger charges
-    this incarnation — a hang is indistinguishable from a crash to the
-    rest of the protocol, which is the simplest correct semantics when
+    handled by a watchdog timer that leaves a traceback and SIGKILLs
+    *ourselves*: a hang is indistinguishable from a crash to the rest
+    of the protocol (the scheduler sees the exit and reclaims at once, a
+    peer after one TTL), which is the simplest correct semantics when
     the trial runs in our own process.
     """
     fn: Callable[..., Any] = task["fn"]
@@ -757,7 +819,6 @@ def _run_claimed(
         mode = "sigkill"
     elif claim.token != 1:
         mode = None
-    heartbeats_enabled = mode != "mute"
     if mode is not None:
         fn, args, kwargs = (
             _chaos.sabotage, (fn, args, kwargs, mode), {},
@@ -769,56 +830,45 @@ def _run_claimed(
     def beat() -> None:
         seq = 0
         while not stop.wait(heartbeat_interval_s):
-            if (
-                trial_timeout_s is not None
-                and time.monotonic() - started > trial_timeout_s
-            ):
-                # Hung trial: go silent and die so a peer reclaims us.
-                os.kill(os.getpid(), signal.SIGKILL)
-            if not heartbeats_enabled:
-                continue  # muted: keep only the watchdog half alive
             seq += 1
             try:
                 queue.heartbeat(tid, me, claim.token, seq)
             except OSError:
                 return  # queue unwritable; the claim will simply expire
 
-    if heartbeats_enabled or trial_timeout_s is not None:
+    def expire() -> None:
+        try:
+            queue.write_traceback(
+                tid, claim.token,
+                f"trial exceeded trial_timeout_s={trial_timeout_s}",
+            )
+        finally:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    if mode != "mute":
         threading.Thread(target=beat, daemon=True).start()
+    watchdog = None
+    if trial_timeout_s is not None:
+        watchdog = threading.Timer(trial_timeout_s, expire)
+        watchdog.daemon = True
+        watchdog.start()
 
     try:
-        value = fn(*args, **kwargs)
+        record = {"status": "ok", "value": fn(*args, **kwargs)}
     except Exception as exc:
-        stop.set()
         error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        if claim.attempt >= queue.max_attempts:
-            try:
-                queue.commit_result(
-                    tid, me, claim.token,
-                    {
-                        "status": "error",
-                        "error": error,
-                        "attempts": claim.attempt,
-                        "wall_clock_s": time.monotonic() - started,
-                    },
-                )
-            except StaleLeaseError:
-                return  # someone reclaimed us mid-trial; their call now
-        else:
-            queue.release(tid, claim, error)
+        record = {"status": "error", "error": error}
+    finally:
+        stop.set()
+        if watchdog is not None:
+            watchdog.cancel()
+    if record["status"] == "error" and claim.attempt < queue.max_attempts:
+        queue.release(tid, claim, record["error"])
         return
-    stop.set()
-    elapsed = time.monotonic() - started
+    record["attempts"] = claim.attempt
+    record["wall_clock_s"] = time.monotonic() - started
     try:
-        queue.commit_result(
-            tid, me, claim.token,
-            {
-                "status": "ok",
-                "value": value,
-                "attempts": claim.attempt,
-                "wall_clock_s": elapsed,
-            },
-        )
+        queue.commit_result(tid, me, claim.token, record)
     except StaleLeaseError:
         return  # fenced out: drop the value; the current holder commits
 
@@ -971,39 +1021,48 @@ def _queue_worker_entry(root: str, epoch: int) -> None:
 
 
 class DirQueueBackend(ExecutionBackend):
-    """The ``dir-queue`` execution backend: schedule through a shared dir.
+    """The ``dir-queue`` execution backend: schedule through a queue dir.
 
     The parent enqueues every dense spec as a task file, spawns
     ``max_workers`` local worker processes over the queue (any number of
-    foreign ``repro worker`` processes on other hosts may join the same
+    foreign ``repro worker`` processes on other hosts may join a shared
     directory), then *observes*: results and quarantine decisions are
     folded into outcomes and journalled exactly once, observed claims
     are mirrored into the journal as lease records carrying
-    host/pid/fencing-token, and a health probe degrades the whole
-    campaign one rung down the ladder (``local-supervised``) when the
-    directory stops cooperating — unwritable (read-only remount), stat
-    latency over budget, or workers dying faster than the respawn
-    budget covers.
+    host/pid/fencing-token, claims of workers it saw exit are reclaimed
+    at once, and a health probe degrades the whole campaign one rung
+    down the ladder (``local-process``) when the directory stops
+    cooperating — unwritable (read-only remount), stat latency over
+    budget, or workers dying faster than the respawn budget covers.
     """
 
     name = "dir-queue"
 
-    def run(self, specs, journal=None):  # noqa: C901 - one cohesive loop
+    #: Whether the queue lives in a fresh temporary directory of this run
+    #: (removed afterwards) instead of the runner's ``queue_dir``.
+    private = False
+
+    def run(self, specs, journal=None):
         runner = self.runner
         specs = list(specs)
         if not specs:
             return []
-        queue_dir = getattr(runner, "queue_dir", None)
+        queue_dir = None if self.private else runner.queue_dir
         ephemeral = queue_dir is None
         if ephemeral:
             queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
-        quarantine_after = int(
-            getattr(runner, "quarantine_after", DEFAULT_QUARANTINE_AFTER)
-        )
+        try:
+            return self._run_queue(queue_dir, specs, journal)
+        finally:
+            if ephemeral:
+                shutil.rmtree(queue_dir, ignore_errors=True)
+
+    def _run_queue(self, queue_dir, specs, journal):
+        runner = self.runner
         queue = DirQueue(
             queue_dir,
             ttl_s=runner.lease_ttl_s,
-            quarantine_after=quarantine_after,
+            quarantine_after=runner.quarantine_after,
             max_attempts=runner.max_attempts,
         )
         heartbeat_s = (
@@ -1026,7 +1085,7 @@ class DirQueueBackend(ExecutionBackend):
                     "fingerprint": manifest_fingerprint,
                     "trials": len(specs),
                     "ttl_s": runner.lease_ttl_s,
-                    "quarantine_after": quarantine_after,
+                    "quarantine_after": runner.quarantine_after,
                     "max_attempts": runner.max_attempts,
                     "heartbeat_s": heartbeat_s,
                     "trial_timeout_s": runner.trial_timeout_s,
@@ -1042,11 +1101,11 @@ class DirQueueBackend(ExecutionBackend):
             for index, spec in enumerate(specs):
                 tid = queue.enqueue(_task_payload(runner, index, spec))
                 index_of.setdefault(tid, []).append(index)
-            self._plant_ghost_claims(queue, specs, journal)
+            self._plant_ghost_claims(queue, specs)
         except (OSError, pickle.PicklingError, AttributeError, TypeError) as exc:
             # OSError: unusable directory.  The pickle family: specs that
             # cannot cross a file boundary (closures, lambdas) — exactly
-            # what the supervised pool's fork context still handles.
+            # what the process pool's fork context still handles.
             return self._degrade(
                 specs, [None] * len(specs), journal,
                 reason=f"queue dir unusable: {exc}",
@@ -1064,8 +1123,10 @@ class DirQueueBackend(ExecutionBackend):
     def _schedule(self, queue, specs, index_of, journal, context):
         runner = self.runner
         results: List[Optional[TrialOutcome]] = [None] * len(specs)
-        emit = getattr(runner, "_emit", None)
-        workers: List[Any] = []
+        me = f"scheduler-{worker_identity()}"
+        workers: Dict[str, Any] = {}  # identity -> process
+        corpses: set = set()  # identities of our workers seen dead
+        observer = LeaseObserver(queue.ttl_s)
         epoch = 0
         respawns_left = RESPAWN_BUDGET_PER_WORKER * runner.max_workers
         seen_results: set = set()
@@ -1084,7 +1145,7 @@ class DirQueueBackend(ExecutionBackend):
                 daemon=True,
             )
             process.start()
-            workers.append(process)
+            workers[worker_identity(epoch, process.pid)] = process
 
         try:
             for _ in range(runner.max_workers):
@@ -1119,8 +1180,41 @@ class DirQueueBackend(ExecutionBackend):
                     degrade_reason = "queue dir no longer writable"
                     break
 
+                # Fleet liveness before the claims are read: a worker
+                # cannot write once dead, so every claim it still holds
+                # is visible below.
+                dead = [
+                    identity for identity, process in workers.items()
+                    if not process.is_alive()
+                ]
+                for identity in dead:
+                    process = workers.pop(identity)
+                    corpses.add(identity)
+                    if process.exitcode:  # 0: drained the queue and left
+                        runner._record_event(
+                            "worker-dead",
+                            detail=f"{identity} exit code {process.exitcode}",
+                        )
+
+                # Results are listed before the claims are read: a claim
+                # that committed a listed result is final by then, so the
+                # mirror journals it before the trial record lands.
+                ready = queue.ids_in("results")
+                parked = queue.ids_in("quarantine")
+                open_tids = {
+                    tid for tid, indices in index_of.items()
+                    if any(results[index] is None for index in indices)
+                }
+                claims = {
+                    tid: queue.read_claim(tid)
+                    for tid in queue.ids_in("claims") & open_tids
+                }
+                progressed = self._supervise(
+                    queue, claims, specs, index_of, workers, corpses,
+                    observer, me,
+                )
                 self._mirror_leases(
-                    queue, specs, index_of, journal, lease_mirror
+                    queue, claims, specs, index_of, journal, lease_mirror
                 )
                 for marker in queue.stale_markers():
                     if marker in seen_stale:
@@ -1133,19 +1227,17 @@ class DirQueueBackend(ExecutionBackend):
                         "stale-commit-rejected", key=key, detail=marker
                     )
 
-                progressed = self._collect(
+                if self._collect(
                     queue, specs, index_of, results, journal,
-                    seen_results, seen_quarantine, emit,
-                )
+                    seen_results, seen_quarantine, ready, parked,
+                ):
+                    progressed = True
 
                 # Health probe 2: the worker fleet.
-                alive = [p for p in workers if p.is_alive()]
-                dead = len(workers) - len(alive)
-                workers[:] = alive
                 if dead and not queue.drained() and any(
                     outcome is None for outcome in results
                 ):
-                    for _ in range(dead):
+                    for _ in dead:
                         if respawns_left <= 0:
                             degrade_reason = (
                                 "worker respawn budget exhausted"
@@ -1164,9 +1256,9 @@ class DirQueueBackend(ExecutionBackend):
                 if not progressed:
                     time.sleep(runner.poll_interval_s)
         finally:
-            for process in workers:
+            for process in workers.values():
                 process.terminate()
-            for process in workers:
+            for process in workers.values():
                 process.join()
 
         if degrade_reason is not None:
@@ -1186,8 +1278,43 @@ class DirQueueBackend(ExecutionBackend):
             return False
         return True
 
+    def _supervise(
+        self, queue, claims, specs, index_of, workers, corpses, observer, me,
+    ) -> bool:
+        """Reclaim what our dead workers held; kill our silent ones.
+
+        A claim owned by a worker this scheduler saw exit is handed to
+        the next generation at once (:meth:`DirQueue.reclaim_dead`).  A
+        claim owned by one of our *live* workers whose signature stayed
+        frozen for a full TTL means that worker is alive but silent
+        (SIGSTOPped, or its heartbeats muted): SIGKILL it, and the next
+        pass reclaims its claim as a corpse's.  True if any
+        claim was reclaimed.
+        """
+        runner = self.runner
+        reclaimed = False
+        for tid, claim in claims.items():
+            if claim is None or claim is CLAIM_IN_FLUX or claim.released:
+                continue
+            if claim.owner in corpses:
+                if queue.has_result(tid):
+                    continue  # died after committing: nothing to reclaim
+                queue.reclaim_dead(tid, claim, me)
+                reclaimed = True
+                continue
+            process = workers.get(claim.owner)
+            if process is not None and observer.expired(
+                tid, queue.claim_signature(tid, claim)
+            ):
+                process.kill()
+                runner._record_event(
+                    "heartbeat-missed", key=specs[index_of[tid][0]].key,
+                    detail=f"{claim.owner} silent for {queue.ttl_s}s",
+                )
+        return reclaimed
+
     def _mirror_leases(
-        self, queue, specs, index_of, journal, lease_mirror
+        self, queue, claims, specs, index_of, journal, lease_mirror
     ) -> None:
         """Reflect observed claims into the journal + telemetry.
 
@@ -1198,8 +1325,7 @@ class DirQueueBackend(ExecutionBackend):
         which is exactly what ``repro journal inspect`` then prints.
         """
         runner = self.runner
-        for tid, indices in index_of.items():
-            claim = queue.read_claim(tid)
+        for tid, claim in claims.items():
             if (
                 claim is None
                 or claim is CLAIM_IN_FLUX
@@ -1208,11 +1334,11 @@ class DirQueueBackend(ExecutionBackend):
             ):
                 continue
             signature = (claim.owner, claim.token)
-            if lease_mirror.get(tid) == signature:
-                continue
             previous = lease_mirror.get(tid)
+            if previous == signature:
+                continue
             lease_mirror[tid] = signature
-            key = specs[indices[0]].key
+            key = specs[index_of[tid][0]].key
             if journal is not None:
                 journal.record_lease(
                     key,
@@ -1239,11 +1365,12 @@ class DirQueueBackend(ExecutionBackend):
 
     def _collect(
         self, queue, specs, index_of, results, journal,
-        seen_results, seen_quarantine, emit,
+        seen_results, seen_quarantine, ready, parked,
     ) -> bool:
         """Fold new results/quarantines into outcomes; True if any did.
 
-        A tid covers every spec index whose key hashed to it (duplicate
+        ``ready`` and ``parked`` are the task ids holding a result and a
+        quarantine file at this pass (:meth:`DirQueue.ids_in`).  A tid covers every spec index whose key hashed to it (duplicate
         keys share one task), so each decision fans out to all of them —
         per-index records mirror what serial would have reported had it
         run each occurrence itself.
@@ -1253,7 +1380,7 @@ class DirQueueBackend(ExecutionBackend):
         for tid, indices in index_of.items():
             if all(results[index] is not None for index in indices):
                 continue
-            if tid not in seen_results and queue.has_result(tid):
+            if tid not in seen_results and tid in ready:
                 try:
                     record = queue.read_result(tid)
                 except Exception as exc:
@@ -1288,8 +1415,7 @@ class DirQueueBackend(ExecutionBackend):
                             attempts=attempts,
                             wall_clock_s=wall,
                         )
-                        if emit is not None:
-                            emit(results[index])
+                        runner._emit(results[index])
                     else:
                         error = str(record.get("error", "unknown error"))
                         runner._record(
@@ -1306,7 +1432,7 @@ class DirQueueBackend(ExecutionBackend):
                             attempts=attempts,
                             wall_clock_s=wall,
                         )
-            elif tid not in seen_quarantine and queue.has_quarantine(tid):
+            elif tid not in seen_quarantine and tid in parked:
                 record = queue.read_quarantine(tid)
                 if record is None:
                     continue
@@ -1340,7 +1466,7 @@ class DirQueueBackend(ExecutionBackend):
                     )
         return progressed
 
-    def _plant_ghost_claims(self, queue, specs, journal) -> None:
+    def _plant_ghost_claims(self, queue, specs) -> None:
         """Chaos lease contention: pre-claim trials for a foreign ghost.
 
         The ghost never heartbeats, so its signature freezes and real
@@ -1368,20 +1494,20 @@ class DirQueueBackend(ExecutionBackend):
         runner._record_event(
             "degraded",
             detail=(
-                f"dir-queue->local-supervised ({len(remaining)} trials: "
+                f"{self.name}->local-process ({len(remaining)} trials: "
                 f"{reason})"
             ),
         )
         if journal is not None:
             journal.record_campaign_event(
-                "degraded", f"dir-queue->local-supervised: {reason}"
+                "degraded", f"{self.name}->local-process: {reason}"
             )
         if not remaining:
             return results
         saved_chaos = runner.chaos
         runner.chaos = None  # the sabotage made its point; finish clean
         try:
-            sub = SupervisedBackend(runner).run(
+            sub = LocalProcessBackend(runner).run(
                 [specs[i] for i in remaining], journal
             )
         finally:
@@ -1390,6 +1516,19 @@ class DirQueueBackend(ExecutionBackend):
             index = remaining[outcome.index]
             results[index] = dataclasses.replace(outcome, index=index)
         return results
+
+
+class LocalSupervisedBackend(DirQueueBackend):
+    """``local-supervised``: the queue over a private temporary directory.
+
+    Only this run's own workers can join, and the directory is removed
+    when the run ends (the journal is the durable record).  The name is
+    the one the pre-queue supervised pool registered, kept so saved
+    scenarios, CLI invocations and campaign fingerprints still work.
+    """
+
+    name = "local-supervised"
+    private = True
 
 
 def _task_payload(
@@ -1407,12 +1546,6 @@ def _task_payload(
     if runner.chaos is not None:
         kill_all = index in runner.chaos.kill_all_attempts_on
         mode = runner.chaos.mode_for(index, 1)
-        if mode in ("hang", "corrupt"):
-            # hang would beat its heart forever (no reclaim) and corrupt
-            # detonates in the scheduler, not a worker: both are
-            # supervised-backend sabotage, meaningless here.  The trial
-            # timeout watchdog covers real hangs.
-            mode = None
     return {
         "key": spec.key,
         "fn": spec.fn,
@@ -1433,23 +1566,17 @@ def _specs_fingerprint(specs: Sequence[TrialSpec]) -> str:
     return digest.hexdigest()
 
 
-def ensure_queue_usable(root: str) -> None:
-    """Eagerly validate a queue directory (the CLI's early failure path)."""
-    if not os.path.isdir(root):
-        raise ConfigError(f"queue dir {root!r} does not exist")
-    if not os.path.exists(os.path.join(root, "manifest.json")):
-        raise TrialError(
-            f"queue dir {root!r} has no manifest; start the scheduler "
-            "(repro sweep --backend dir-queue / repro serve) first"
-        )
-
-
 # -- registry entries ---------------------------------------------------------
 
 
 @register("backend", "dir-queue")
 def make_dir_queue(runner: TrialRunner) -> ExecutionBackend:
     return DirQueueBackend(runner)
+
+
+@register("backend", "local-supervised")
+def make_local_supervised(runner: TrialRunner) -> ExecutionBackend:
+    return LocalSupervisedBackend(runner)
 
 
 @register("queue", "dir")

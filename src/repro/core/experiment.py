@@ -149,7 +149,6 @@ def compare_protocols(
         telemetry=telemetry,
         backend=base_scenario.backend,
         lease_ttl_s=base_scenario.lease_ttl_s,
-        retry_seed=base_scenario.seed,
     )
     try:
         outcomes = runner.run(specs, journal=journal)

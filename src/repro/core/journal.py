@@ -52,13 +52,15 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.util.errors import ConfigError, JournalCorruptError
 
 #: Journal format version.  Bump on any incompatible line-format change.
-#: Lease/heartbeat/event records (the supervised execution backend) and
-#: quarantine records (the dir-queue backend's poison-trial parking) ride
-#: inside schema 1: older journals simply contain none of them, and the
-#: completed-trial reader skips any kind it is not aggregating.
+#: Lease, event and quarantine records (the queue backends' claim mirror,
+#: degradations and poison-trial parking) ride inside schema 1: older
+#: journals simply contain none of them, and the completed-trial reader
+#: skips any kind it is not aggregating.
 SCHEMA_VERSION = 1
 
 #: Record kinds a schema-1 journal may contain after the header.
+#: ``heartbeat`` is no longer written; journals from before the queue
+#: backends merged still carry it, and every reader skips it.
 RECORD_KINDS = ("trial", "lease", "heartbeat", "event", "quarantine")
 
 
@@ -150,12 +152,11 @@ class JournalEntry:
 class LeaseRecord:
     """The latest lease on one trial, as read back from a journal.
 
-    A lease is *ownership with an expiry*: the owner claimed the trial up
-    to ``deadline_unix`` (wall-clock seconds).  A runner that finds an
-    unexpired lease held by someone else must wait it out; an expired
-    lease may be reclaimed (with ``attempt + 1``) without risking a
-    double-count, because results are only ever taken from ``trial``
-    records — the lease merely serialises *who runs it next*.
+    Leases are the queue backends' transcript of the claims they
+    observed: who held the trial, under which fencing token, until
+    roughly when (``deadline_unix``, wall clock, advisory).  They are
+    for ``repro journal inspect``; results only ever come from ``trial``
+    records, so a lease never changes what a resume computes.
 
     Attributes:
         key_id: canonical trial-key identity (:func:`trial_key_id`).
@@ -235,12 +236,10 @@ class TrialJournal:
         self.fingerprint = str(fingerprint)
         self._fsync = bool(fsync)
         self._completed: Dict[str, JournalEntry] = {}
-        self._leases: Dict[str, LeaseRecord] = {}
         self._quarantined: Dict[str, QuarantineRecord] = {}
         has_content = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         if resume and has_content:
             self._completed = read_completed(self.path, self.fingerprint)
-            self._leases = read_lease_state(self.path, self.fingerprint)
             self._quarantined = read_quarantine(self.path, self.fingerprint)
             self._file = open(self.path, "ab")
         else:
@@ -265,15 +264,6 @@ class TrialJournal:
     def completed(self) -> Dict[str, JournalEntry]:
         """Completed trials loaded at open time, keyed by key identity."""
         return self._completed
-
-    @property
-    def leases(self) -> Dict[str, LeaseRecord]:
-        """Live lease state: latest lease per *incomplete* trial key.
-
-        Loaded from the file on resume, then kept current as this
-        process records leases and trial completions of its own.
-        """
-        return self._leases
 
     @property
     def quarantined(self) -> Dict[str, QuarantineRecord]:
@@ -301,18 +291,16 @@ class TrialJournal:
                 pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL), 1
             )
         ).decode("ascii")
-        key_id = trial_key_id(key)
         self._write_line(
             {
                 "kind": "trial",
-                "key": key_id,
+                "key": trial_key_id(key),
                 "status": "ok",
                 "attempts": int(attempts),
                 "wall_clock_s": float(wall_clock_s),
                 "value": payload,
             }
         )
-        self._leases.pop(key_id, None)  # completion releases the lease
 
     def record_failure(self, key: Any, error: str, attempts: int) -> None:
         """Record a terminally failed trial (observability only).
@@ -321,17 +309,15 @@ class TrialJournal:
         restarted campaign retries them, which is what you want after
         fixing whatever killed them.
         """
-        key_id = trial_key_id(key)
         self._write_line(
             {
                 "kind": "trial",
-                "key": key_id,
+                "key": trial_key_id(key),
                 "status": "error",
                 "attempts": int(attempts),
                 "error": str(error)[:2000],
             }
         )
-        self._leases.pop(key_id, None)  # terminal failure releases it too
 
     # -- supervision records -------------------------------------------------
 
@@ -341,27 +327,19 @@ class TrialJournal:
         owner: str,
         attempt: int,
         ttl_s: float,
-        deadline_unix: Optional[float] = None,
         host: Optional[str] = None,
         pid: Optional[int] = None,
         token: Optional[int] = None,
     ) -> LeaseRecord:
-        """Durably claim (or extend/reclaim) one trial for ``owner``.
+        """Record one observed claim of a trial by ``owner``.
 
         Appends an append-only ``lease`` record — later records supersede
-        earlier ones for the same key, so grant, deadline extension and
-        reclaim are all the same operation with different ``attempt`` /
-        deadline values.  ``host``/``pid``/``token`` carry the dir-queue
-        backend's claimant identity and fencing token when known; the
-        keys are simply absent from journals written by backends that do
-        not fence.  Returns the resulting :class:`LeaseRecord` and keeps
-        :attr:`leases` current.
+        earlier ones for the same key, so a first claim and a reclaim are
+        the same operation with a new owner and fencing token.
+        ``host``/``pid``/``token`` carry the claimant identity when
+        known.  Returns the resulting :class:`LeaseRecord`.
         """
-        deadline = (
-            time.time() + float(ttl_s)
-            if deadline_unix is None
-            else float(deadline_unix)
-        )
+        deadline = time.time() + float(ttl_s)
         key_id = trial_key_id(key)
         line: Dict[str, Any] = {
             "kind": "lease",
@@ -377,7 +355,7 @@ class TrialJournal:
         if token is not None:
             line["token"] = int(token)
         self._write_line(line)
-        lease = LeaseRecord(
+        return LeaseRecord(
             key_id=key_id,
             owner=str(owner),
             attempt=int(attempt),
@@ -386,8 +364,6 @@ class TrialJournal:
             pid=None if pid is None else int(pid),
             token=None if token is None else int(token),
         )
-        self._leases[key_id] = lease
-        return lease
 
     def record_quarantine(
         self,
@@ -398,7 +374,7 @@ class TrialJournal:
     ) -> QuarantineRecord:
         """Durably park a poison trial that keeps killing workers.
 
-        Releases any live lease on the key (the trial will not be run
+        Releases any open lease on the key (the trial will not be run
         again) and keeps :attr:`quarantined` current.  The record is
         fsync-ed like a trial record: losing a quarantine decision to a
         power cut would put the poison trial straight back on the queue.
@@ -420,34 +396,15 @@ class TrialJournal:
             attempts=int(attempts),
             traceback=str(traceback_text)[:8000],
         )
-        self._leases.pop(key_id, None)  # quarantine releases the lease
         self._quarantined[key_id] = record
         return record
-
-    def record_heartbeat(self, key: Any, owner: str, seq: int) -> None:
-        """Record one observed worker heartbeat (observability only).
-
-        Heartbeats are progress evidence, not results, so they skip the
-        fsync — losing the tail of a heartbeat stream to a power cut
-        changes nothing about what can be resumed.
-        """
-        self._write_line(
-            {
-                "kind": "heartbeat",
-                "key": trial_key_id(key),
-                "owner": str(owner),
-                "seq": int(seq),
-                "t": time.time(),
-            },
-            fsync=False,
-        )
 
     def record_campaign_event(self, event: str, detail: str = "") -> None:
         """Record a campaign-level event (e.g. a backend degradation).
 
         These lines are what makes an after-the-fact ``repro journal
-        inspect`` able to say *why* a supervised campaign finished on a
-        lesser backend instead of crashing.
+        inspect`` able to say *why* a campaign finished on a lesser
+        backend instead of crashing.
         """
         self._write_line(
             {
@@ -524,12 +481,12 @@ def read_completed(
             if number == 1:
                 _check_header(obj, path, expect_fingerprint)
                 continue
-            if obj.get("kind") in ("lease", "heartbeat", "event", "quarantine"):
-                continue  # supervision records; not completed trials
-            if obj.get("kind") != "trial":
+            if obj.get("kind") not in RECORD_KINDS:
                 raise _CorruptLine(
                     f"unexpected line kind {obj.get('kind')!r}"
                 )
+            if obj.get("kind") != "trial":
+                continue  # supervision records; not completed trials
             if obj.get("status") != "ok":
                 continue  # failures are informational; resume retries them
             value = pickle.loads(
@@ -635,10 +592,10 @@ def read_lease_state(
 ) -> Dict[str, LeaseRecord]:
     """Live leases of a journal: latest lease per *incomplete* trial key.
 
-    A ``trial`` record (success or terminal failure) releases the key's
-    lease; later lease records supersede earlier ones.  What remains is
-    exactly the set of claims a resuming runner must arbitrate: wait out
-    the unexpired ones, reclaim the expired ones.
+    A ``trial`` or ``quarantine`` record releases the key's lease; later
+    lease records supersede earlier ones.  What remains is the set of
+    claims still open when the journal was last written — what ``repro
+    journal inspect`` lists.
     """
     _header, records, _torn = scan_records(path, expect_fingerprint)
     leases: Dict[str, LeaseRecord] = {}
@@ -700,10 +657,11 @@ class JournalStats:
         records: total records after the header (surviving lines).
         trials_ok / trials_failed: terminal trial records by status.
         distinct_completed: distinct keys with at least one ok record.
-        leases: lease records in the file (grants + extensions + reclaims).
+        leases: lease records in the file (observed claims and reclaims).
         live_leases: keys still holding an unreleased lease.
-        expired_leases: of those, how many have lapsed (reclaimable).
-        heartbeats: heartbeat records.
+        expired_leases: of those, how many are past their advisory deadline.
+        heartbeats: heartbeat records (only in journals written before
+            the queue backends merged; every one is superseded).
         events: campaign-event records (e.g. backend degradations).
         quarantined: trials currently parked as poison (latest state).
         superseded: records a :func:`compact_journal` pass would drop.
@@ -817,9 +775,9 @@ def compact_journal(
 ) -> Tuple[int, int]:
     """Rewrite a journal without its superseded records, atomically.
 
-    Long supervised campaigns append a lease record per grant/extension
-    and a heartbeat stream per worker; none of that is needed once the
-    trials it supervised are complete.  Compaction keeps the header, the
+    Long campaigns append a lease record per observed claim (and old
+    journals a heartbeat stream per worker); none of that is needed once
+    the trials it tracked are complete.  Compaction keeps the header, the
     terminal trial record per key, the latest lease per still-incomplete
     key, and every event record — every surviving line byte-identical to
     the original, so resuming from the compacted journal is exactly

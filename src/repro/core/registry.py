@@ -42,7 +42,7 @@ Twelve kinds exist (:data:`KINDS`):
     Execution-backend factories, ``factory(runner) ->
     ExecutionBackend`` (see :mod:`repro.core.backend`) — where a
     campaign's *trials* execute (in-process serial, a local process
-    pool, or the lease/heartbeat-supervised pool); every backend
+    pool, or the claim-file job queue); every backend
     produces bit-identical campaign results, only the failure-handling
     machinery differs.
 ``tech``

@@ -26,9 +26,10 @@ set with:
 *Where* the trials execute is an :class:`~repro.core.backend.
 ExecutionBackend` resolved by name through the ``backend`` registry
 namespace: ``"local-serial"`` (in-process), ``"local-process"`` (the
-process pool), ``"local-supervised"`` (lease/heartbeat-supervised pool
-with deterministic retry backoff and a degradation ladder), or ``"auto"``
-(serial for ``max_workers=1``, the pool otherwise).  This class keeps the
+process pool), ``"dir-queue"`` (the claim-file job queue of
+:mod:`repro.core.distq`), ``"local-supervised"`` (that queue over a
+private temporary directory), or ``"auto"`` (serial for
+``max_workers=1``, the pool otherwise).  This class keeps the
 campaign-level concerns every backend shares — journal resume filtering,
 telemetry, the low-level worker mechanics backends borrow — and delegates
 execution itself.
@@ -94,8 +95,7 @@ class TrialOutcome:
         infrastructure: whether the terminal failure was *infrastructure*
             (worker crash, timeout, pipe/unpickle damage — things a retry
             elsewhere could fix) rather than an exception raised by the
-            trial function itself.  Execution backends use the
-            distinction for circuit breaking and degradation.
+            trial function itself (a quarantined trial is one).
     """
 
     key: Any
@@ -159,33 +159,18 @@ class TrialRunner:
             preempted).
         max_attempts: total tries per trial (1 = no retry).
         telemetry: optional :class:`CampaignTelemetry` receiving one
-            :class:`TrialRecord` per attempt (and, under the supervised
-            backend, one :class:`~repro.metrics.collector.CampaignEvent`
+            :class:`TrialRecord` per attempt (and, under the queue
+            backends, one :class:`~repro.metrics.collector.CampaignEvent`
             per supervision action).
         backend: execution-backend name resolved through the ``backend``
             registry namespace — ``"auto"`` (default), ``"local-serial"``,
-            ``"local-process"`` or ``"local-supervised"``.
-        lease_ttl_s: supervised backend only — lease duration granted per
-            worker launch; a worker that heartbeats but runs past it gets
-            extensions, an owner that goes silent loses it.
-        heartbeat_interval_s: supervised backend only — worker heartbeat
-            period (``None`` derives it from ``lease_ttl_s``).
-        max_lease_extensions: supervised backend only — deadline
-            extensions a slow-but-alive worker may receive before being
-            treated as hung.
-        breaker_threshold: supervised backend only — consecutive
-            *infrastructure* failures (crashes, timeouts, pipe damage —
-            not trial exceptions) that open the circuit breaker and
-            degrade the campaign down the backend ladder.
-        retry_seed: supervised backend only — root seed of the per-trial
-            named RNG streams that jitter retry backoff, so retry
-            schedules are themselves reproducible.
-        retry_backoff_base_s / retry_backoff_cap_s: supervised backend
-            only — exponential backoff shape for retries.
-        campaign_retry_budget: supervised backend only — total retries
-            allowed across the whole campaign (``None`` = unlimited);
-            once spent, failing trials fail terminally instead of
-            retrying.
+            ``"local-process"``, ``"dir-queue"`` or ``"local-supervised"``.
+        lease_ttl_s: queue backends (``dir-queue``, ``local-supervised``)
+            — how long a claim may sit with frozen heartbeats before
+            another worker reclaims it.  A worker seen to exit is
+            reclaimed at once, without waiting out the TTL.
+        heartbeat_interval_s: queue backends — worker heartbeat period
+            (``None`` derives it from ``lease_ttl_s``).
         queue_dir: dir-queue backend only — the shared queue directory
             trials are scheduled through (any host's ``repro worker``
             pointed at the same directory joins the campaign).  ``None``
@@ -222,12 +207,6 @@ class TrialRunner:
         backend: str = "auto",
         lease_ttl_s: float = 30.0,
         heartbeat_interval_s: Optional[float] = None,
-        max_lease_extensions: int = 4,
-        breaker_threshold: int = 5,
-        retry_seed: int = 0,
-        retry_backoff_base_s: float = 0.05,
-        retry_backoff_cap_s: float = 2.0,
-        campaign_retry_budget: Optional[int] = None,
         queue_dir: Optional[str] = None,
         quarantine_after: int = 3,
         on_outcome: Optional[Callable[[TrialOutcome], None]] = None,
@@ -246,19 +225,6 @@ class TrialRunner:
             raise ConfigError(
                 f"heartbeat_interval_s must be > 0, got {heartbeat_interval_s}"
             )
-        if max_lease_extensions < 0:
-            raise ConfigError(
-                f"max_lease_extensions must be >= 0, got {max_lease_extensions}"
-            )
-        if breaker_threshold < 1:
-            raise ConfigError(
-                f"breaker_threshold must be >= 1, got {breaker_threshold}"
-            )
-        if campaign_retry_budget is not None and campaign_retry_budget < 0:
-            raise ConfigError(
-                "campaign_retry_budget must be >= 0 or None, got "
-                f"{campaign_retry_budget}"
-            )
         if quarantine_after < 1:
             raise ConfigError(
                 f"quarantine_after must be >= 1, got {quarantine_after}"
@@ -275,12 +241,6 @@ class TrialRunner:
         self.backend = _registry.normalize("backend", backend)
         self.lease_ttl_s = float(lease_ttl_s)
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.max_lease_extensions = int(max_lease_extensions)
-        self.breaker_threshold = int(breaker_threshold)
-        self.retry_seed = int(retry_seed)
-        self.retry_backoff_base_s = float(retry_backoff_base_s)
-        self.retry_backoff_cap_s = float(retry_backoff_cap_s)
-        self.campaign_retry_budget = campaign_retry_budget
         self.queue_dir = None if queue_dir is None else str(queue_dir)
         self.quarantine_after = int(quarantine_after)
         self.on_outcome = on_outcome
@@ -512,8 +472,8 @@ class TrialRunner:
         *infrastructure* failures — parent-diagnosed damage (pipe closed,
         unpickle failure, suspect exit code, crash, timeout) that a retry
         on healthy infrastructure could fix — from trial errors the
-        worker itself reported.  The supervised backend's circuit breaker
-        counts only the former.
+        worker itself reported.  Only the former mark a terminal outcome
+        as ``infrastructure``.
         """
         elapsed = now - worker.started
         if worker.conn.poll():

@@ -45,7 +45,7 @@ scheduler spawns local workers, and any ``repro worker --follow`` pointed
 at the spool picks up each job's queue as it appears — that is the
 multi-host path.  The backend's degradation ladder still applies, so a
 read-only or pathologically slow shared directory degrades the job to
-supervised local execution rather than wedging the spool.
+the local process pool rather than wedging the spool.
 """
 
 from __future__ import annotations
@@ -450,7 +450,6 @@ class CampaignServer:
             lease_ttl_s=envelope.scenario.lease_ttl_s,
             queue_dir=os.path.join(job_dir, "queue"),
             quarantine_after=envelope.scenario.quarantine_after,
-            retry_seed=envelope.scenario.seed,
             on_outcome=emit,
         )
         try:

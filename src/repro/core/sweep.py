@@ -177,7 +177,6 @@ def sweep_scenario(
         lease_ttl_s=base.lease_ttl_s,
         queue_dir=base.queue_dir,
         quarantine_after=base.quarantine_after,
-        retry_seed=base.seed,
     )
     try:
         outcomes = runner.run(specs, journal=journal)

@@ -9,21 +9,21 @@ rules that make that guarantee hold).
 Built-in backends:
 
 ``auto`` (the scenario default)
-    Best available: ``$REPRO_KERNELS`` override if set, else numba,
-    else generated C (``cjit``), else the numpy ``vector`` backend.
-    The probing is silent — ``auto`` means "whatever runs here".
+    Best available: ``$REPRO_KERNELS`` override if set, else generated
+    C (``cjit``), else the numpy ``vector`` backend.  The probing is
+    silent — ``auto`` means "whatever runs here".
 ``python``
     The explicit-loop reference (ground truth for identity tests).
 ``vector``
     The numpy expressions the components ran inline before this
     package existed; always available.
-``numba``
-    ``@njit`` over the reference loops; warns once and falls back to
-    ``python`` when numba is not installed (per-loop bit-identity is
-    preserved by the no-RNG / no-transcendentals kernel rules).
 ``cjit``
     A generated-C translation compiled with the system C compiler;
     warns once and falls back to ``vector`` when no compiler exists.
+``numba``
+    A removed JIT backend, still accepted so saved scenarios load: it
+    warns once and resolves like ``auto`` (results are identical on
+    every backend by contract).
 
 Backend instances are process-local singletons (their scratch buffers
 make them stateful but cheap to share; runs are single-threaded), so
@@ -61,8 +61,7 @@ def _fallback(name: str, fallback_name: str, reason: str) -> KernelBackend:
         _WARNED.add(name)
         warnings.warn(
             f"kernels={name!r} unavailable ({reason}); "
-            f"falling back to kernels={fallback_name!r} "
-            f"(bit-identical, slower)",
+            f"falling back to kernels={fallback_name!r} (bit-identical)",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -83,13 +82,8 @@ def make_vector(scenario=None) -> KernelBackend:
 
 @register("kernels", "numba")
 def make_numba(scenario=None) -> KernelBackend:
-    """Numba ``@njit`` kernels; python fallback when numba is absent."""
-    from repro.kernels.numba_backend import NumbaBackend
-
-    try:
-        return NumbaBackend()
-    except KernelUnavailable as exc:
-        return _fallback("numba", "python", str(exc))
+    """The removed numba backend's name: warns once, resolves as auto."""
+    return _fallback("numba", "auto", "the numba backend was removed")
 
 
 @register("kernels", "cjit")
@@ -105,23 +99,16 @@ def make_cjit(scenario=None) -> KernelBackend:
 
 @register("kernels", "auto")
 def make_auto(scenario=None) -> KernelBackend:
-    """Best backend that runs here (env override, numba, cjit, vector)."""
+    """Best backend that runs here (env override, cjit, vector)."""
     override = os.environ.get("REPRO_KERNELS")
     if override:
         return resolve_backend(override)
-    try:
-        from repro.kernels.numba_backend import NumbaBackend
-
-        return NumbaBackend()
-    except KernelUnavailable:
-        pass
     try:
         from repro.kernels.cjit import CjitBackend
 
         return CjitBackend()
     except KernelUnavailable:
-        pass
-    return VectorBackend()
+        return VectorBackend()
 
 
 def resolve_backend(spec="auto") -> KernelBackend:

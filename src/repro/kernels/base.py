@@ -5,7 +5,7 @@ update, the link-cache receiver filter and DCF bookkeeping — behind a
 fixed method surface.  Components (``NagelSchreckenberg``,
 ``MultiLaneRoad``, ``Channel``, ``DcfBook``) take a backend (or its
 registry name) at construction and call only these methods, so
-swapping ``kernels="python"`` for ``kernels="numba"`` or
+swapping ``kernels="python"`` for ``kernels="vector"`` or
 ``kernels="cjit"`` changes *where* the loops execute and nothing about
 what they compute: every backend is bit-identical by contract, and the
 default-scenario goldens plus the grid-vs-dense identity tests run
@@ -17,7 +17,7 @@ directly.  Subclasses
 override whichever methods they can execute faster —
 :class:`~repro.kernels.vector.VectorBackend` with the numpy
 expressions the components used before this package existed, the
-compiled backends with machine code generated from the pyref loops.
+compiled backend with machine code generated from the pyref loops.
 
 Third-party backends subclass this class and register a factory under
 the ``kernels`` namespace; see docs/API.md "Compiled kernels".
@@ -33,8 +33,8 @@ from repro.kernels import pyref
 def _restore_backend(name: str) -> "KernelBackend":
     """Unpickle hook: re-resolve a backend by registry name.
 
-    Backends hold process-local resources (ctypes handles, JIT
-    dispatchers) that cannot cross a pickle boundary, so journals and
+    Backends hold process-local resources (ctypes handles) that cannot
+    cross a pickle boundary, so journals and
     copies serialise only the name and rebuild on load — falling back
     (with the usual one-time warning) if the named backend is
     unavailable on the restoring machine.
@@ -45,11 +45,11 @@ def _restore_backend(name: str) -> "KernelBackend":
 
 
 class KernelUnavailable(RuntimeError):
-    """A backend cannot run here (missing JIT package, no C compiler).
+    """A backend cannot run here (no C compiler).
 
     Raised by backend constructors; :func:`repro.kernels.resolve_backend`
     catches it, warns once, and falls back to an always-available
-    backend — a machine without numba or a compiler still runs every
+    backend — a machine without a C compiler still runs every
     scenario, just slower.
     """
 

@@ -2,14 +2,13 @@
 
 Every function here is the explicit-loop statement of one hot inner
 loop — the NaSch update, the link-cache receiver filter, DCF bookkeeping.
-They are written in the *nopython* subset shared by Numba and a
-line-for-line C translation (see :mod:`repro.kernels.cjit`): plain
+They are written in a subset with a line-for-line C translation (see
+:mod:`repro.kernels.cjit`): plain
 ``for`` loops over preallocated int64/float64/bool arrays, no Python
 containers, no allocation, results returned as counts or indices.  That
-single restriction is what lets the compiled backends be generated
-*from* these functions (``numba.njit`` wraps them directly; the C
-source mirrors them statement for statement) and then be proven
-bit-identical against them.
+single restriction is what lets the compiled backend be generated
+*from* these functions (the C source mirrors them statement for
+statement) and then be proven bit-identical against them.
 
 Bit-identity rules the kernels obey (see docs/API.md "Compiled
 kernels"):
@@ -22,7 +21,7 @@ kernels"):
   received powers come in as arrays computed by the shared numpy code;
   kernels only do integer state evolution, IEEE +,-,*,/ and
   comparisons — operations that are exact (or correctly rounded) on
-  every backend, so results match bit for bit across python, numba and
+  every backend, so results match bit for bit across python, numpy and
   generated C.
 * **First-index tie-breaking.**  Where the vectorized code reports
   ``argmax`` of a violation mask, kernels report the first offending

@@ -45,19 +45,17 @@ class TrialRecord:
 class CampaignEvent:
     """One supervision event inside a campaign (not a trial attempt).
 
-    The supervised execution backend emits these alongside the per-attempt
-    :class:`TrialRecord` stream: lease grants/extensions/reclaims, missed
-    heartbeats, retry backoffs, circuit-breaker trips and backend
-    degradations.  They answer "what did the supervisor *do*" where trial
+    The queue backends (``dir-queue``, ``local-supervised``) emit these
+    alongside the per-attempt :class:`TrialRecord` stream: claims,
+    reclaims, dead and silent workers, quarantines and backend
+    degradations.  They answer "what did the scheduler *do*" where trial
     records answer "what did the trials *return*".
 
     Attributes:
-        kind: event name — ``"lease-granted"``, ``"lease-extended"``,
-            ``"lease-reclaimed"``, ``"lease-contended"``,
-            ``"heartbeat-missed"``, ``"worker-dead"``, ``"retry-backoff"``,
-            ``"breaker-open"``, ``"degraded"``, or (dir-queue backend)
-            ``"claim-won"``, ``"stale-commit-rejected"``,
-            ``"quarantined"`` and ``"result-corrupt"``.
+        kind: event name — ``"claim-won"``, ``"lease-reclaimed"``,
+            ``"lease-contended"``, ``"heartbeat-missed"``,
+            ``"worker-dead"``, ``"stale-commit-rejected"``,
+            ``"quarantined"``, ``"result-corrupt"`` or ``"degraded"``.
         key: the trial key involved (``None`` for campaign-wide events).
         detail: free-text diagnostics (owner ids, deadlines, ladder rung).
     """
@@ -132,23 +130,13 @@ class CampaignTelemetry:
         )
 
     @property
-    def leases_granted(self) -> int:
-        """Leases granted (first claims, not extensions or reclaims)."""
-        return self._count_events("lease-granted")
-
-    @property
-    def leases_extended(self) -> int:
-        """Deadline extensions granted to slow-but-alive workers."""
-        return self._count_events("lease-extended")
-
-    @property
     def leases_reclaimed(self) -> int:
-        """Expired leases taken over (dead/hung owner, or a resume)."""
+        """Claims taken over from a dead, silent or released owner."""
         return self._count_events("lease-reclaimed")
 
     @property
     def heartbeats_missed(self) -> int:
-        """Workers SIGKILLed for going silent past the heartbeat budget."""
+        """Workers SIGKILLed after a lease TTL of frozen heartbeats."""
         return self._count_events("heartbeat-missed")
 
     @property
@@ -171,11 +159,6 @@ class CampaignTelemetry:
         """Times the campaign dropped down the backend ladder."""
         return self._count_events("degraded")
 
-    @property
-    def breaker_trips(self) -> int:
-        """Circuit-breaker openings (consecutive infrastructure failures)."""
-        return self._count_events("breaker-open")
-
     def wall_clock_per_trial(self) -> List[float]:
         """Durations of the successful attempts, in completion order."""
         return [r.wall_clock_s for r in self.records if r.ok]
@@ -195,11 +178,8 @@ class CampaignTelemetry:
             "failed": float(self.trials_failed),
             "timeouts": float(self.timeouts),
             "retries": float(self.retries),
-            "leases_granted": float(self.leases_granted),
-            "leases_extended": float(self.leases_extended),
             "leases_reclaimed": float(self.leases_reclaimed),
             "heartbeats_missed": float(self.heartbeats_missed),
-            "breaker_trips": float(self.breaker_trips),
             "degradations": float(self.degradations),
             "claims_won": float(self.claims_won),
             "stale_commits_rejected": float(self.stale_commits_rejected),

@@ -1,25 +1,29 @@
 """Execution backends: registry wiring, supervision, and bit-identity.
 
 The contract under test is the tentpole one: every backend returns the
-exact values of an undisturbed serial run — supervision (leases,
-heartbeats, retries, circuit breaking) changes *failure handling*, never
-results.  Chaos sabotage (SIGKILL, hang, corrupt, heartbeat mute, lease
-contention) is the adversary; serial execution is the ground truth.
+exact values of an undisturbed serial run — supervision (claims,
+fencing, reclaims, quarantine, degradation) changes *failure handling*,
+never results.  Chaos sabotage (SIGKILL, hang, corrupt, heartbeat mute,
+lease contention) is the adversary; serial execution is the ground
+truth.  ``local-supervised`` is the dir-queue backend over a private
+temporary directory, so these tests drive the queue protocol end to end.
 """
 
+import os
+import tempfile
 import time
 
 import pytest
 
 from repro.core import registry
-from repro.core.backend import (
-    LocalProcessBackend,
-    LocalSerialBackend,
-    SupervisedBackend,
-    retry_backoff_schedule,
-)
+from repro.core.backend import LocalProcessBackend, LocalSerialBackend
 from repro.core.chaos import ChaosMonkey
-from repro.core.journal import campaign_fingerprint, open_journal
+from repro.core.distq import DirQueueBackend, LocalSupervisedBackend
+from repro.core.journal import (
+    campaign_fingerprint,
+    open_journal,
+    read_lease_state,
+)
 from repro.core.runner import TrialRunner, TrialSpec
 from repro.metrics.collector import CampaignTelemetry
 from repro.util.errors import ConfigError
@@ -50,9 +54,10 @@ TRUTH = [i * i for i in range(6)]
 
 def test_backend_namespace_registered():
     names = set(registry.known("backend"))
-    assert {"auto", "local-serial", "local-process", "local-supervised"} <= (
-        names
-    )
+    assert {
+        "auto", "local-serial", "local-process", "local-supervised",
+        "dir-queue",
+    } <= names
 
 
 def test_auto_picks_serial_for_one_worker_and_pool_otherwise():
@@ -65,11 +70,15 @@ def test_named_backends_resolve_to_their_classes():
     for name, cls in (
         ("local-serial", LocalSerialBackend),
         ("local-process", LocalProcessBackend),
-        ("local-supervised", SupervisedBackend),
+        ("local-supervised", LocalSupervisedBackend),
+        ("dir-queue", DirQueueBackend),
     ):
         backend = registry.resolve("backend", name)(TrialRunner())
         assert isinstance(backend, cls)
         assert backend.name == name
+    # The historical name is the queue over a private directory.
+    assert issubclass(LocalSupervisedBackend, DirQueueBackend)
+    assert LocalSupervisedBackend.private
 
 
 def test_unknown_backend_rejected_at_construction():
@@ -82,19 +91,15 @@ def test_supervision_parameters_validated():
         TrialRunner(lease_ttl_s=0)
     with pytest.raises(ConfigError, match="heartbeat_interval_s"):
         TrialRunner(heartbeat_interval_s=-1)
-    with pytest.raises(ConfigError, match="max_lease_extensions"):
-        TrialRunner(max_lease_extensions=-1)
-    with pytest.raises(ConfigError, match="breaker_threshold"):
-        TrialRunner(breaker_threshold=0)
-    with pytest.raises(ConfigError, match="campaign_retry_budget"):
-        TrialRunner(campaign_retry_budget=-1)
+    with pytest.raises(ConfigError, match="quarantine_after"):
+        TrialRunner(quarantine_after=0)
 
 
 # -- bit-identity across backends ---------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "backend", ["local-serial", "local-process", "local-supervised"]
+    "backend", ["local-serial", "local-process", "local-supervised", "dir-queue"]
 )
 def test_every_backend_matches_serial_truth(backend):
     outcomes = TrialRunner(
@@ -108,8 +113,14 @@ def test_supervised_grants_one_lease_per_trial():
     TrialRunner(
         max_workers=2, backend="local-supervised", telemetry=telemetry
     ).run(_specs())
-    assert telemetry.leases_granted == 6
+    assert telemetry.claims_won == 6
     assert telemetry.leases_reclaimed == 0
+
+
+def test_private_queue_dir_is_removed_after_the_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    TrialRunner(max_workers=2, backend="local-supervised").run(_specs())
+    assert os.listdir(tmp_path) == []
 
 
 # -- chaos: every sabotage mode recovers bit-identically ----------------------
@@ -118,43 +129,89 @@ def test_supervised_grants_one_lease_per_trial():
 def test_supervised_survives_sigkill_corrupt_and_hang():
     telemetry = CampaignTelemetry()
     chaos = ChaosMonkey(kill_on={0}, corrupt_on={1}, hang_on={2})
-    outcomes = TrialRunner(
-        max_workers=2,
-        backend="local-supervised",
-        trial_timeout_s=1.0,
-        lease_ttl_s=5.0,
-        max_attempts=3,
-        telemetry=telemetry,
-        chaos=chaos,
-    ).run(_specs())
-    assert _values(outcomes) == TRUTH
-    assert telemetry.leases_reclaimed >= 3  # one per sabotaged trial
-    assert telemetry.retries == 3
-
-
-def test_supervised_kills_muted_worker_as_hung():
-    """Heartbeat suppression: the monitor must SIGKILL, not wait out TTL."""
-    telemetry = CampaignTelemetry()
-    chaos = ChaosMonkey(mute_on={1})
     started = time.monotonic()
     outcomes = TrialRunner(
         max_workers=2,
         backend="local-supervised",
-        lease_ttl_s=60.0,  # the lease alone would stall for a minute
-        heartbeat_interval_s=0.05,
-        max_attempts=2,
+        trial_timeout_s=1.0,
+        lease_ttl_s=60.0,  # only the watchdog and instant reclaim are fast
+        max_attempts=3,
         telemetry=telemetry,
         chaos=chaos,
     ).run(_specs())
     elapsed = time.monotonic() - started
     assert _values(outcomes) == TRUTH
-    assert telemetry.heartbeats_missed >= 1
+    assert telemetry.leases_reclaimed >= 3  # one per sabotaged trial
+    kinds = [e.kind for e in telemetry.events]
+    assert kinds.count("worker-dead") == 2  # the SIGKILL and the hang
+    assert "result-corrupt" in kinds
+    assert elapsed < 30.0
+
+
+def test_sigkilled_worker_reclaimed_well_inside_one_ttl():
+    """Instant reclaim: the scheduler saw its worker exit, so the trial
+    is handed on at once instead of after a 30 s frozen signature."""
+    telemetry = CampaignTelemetry()
+    started = time.monotonic()
+    outcomes = TrialRunner(
+        max_workers=2,
+        backend="local-supervised",
+        lease_ttl_s=30.0,
+        telemetry=telemetry,
+        chaos=ChaosMonkey(kill_on={0}),
+    ).run(_specs())
+    elapsed = time.monotonic() - started
+    assert _values(outcomes) == TRUTH
+    assert elapsed < 5.0
+    assert any(
+        e.kind == "lease-reclaimed" and e.key == 0 for e in telemetry.events
+    )
+    assert telemetry._count_events("worker-dead") == 1
+
+
+def test_three_distinct_deaths_still_quarantine():
+    telemetry = CampaignTelemetry()
+    started = time.monotonic()
+    outcomes = TrialRunner(
+        max_workers=2,
+        backend="local-supervised",
+        lease_ttl_s=30.0,
+        telemetry=telemetry,
+        chaos=ChaosMonkey(kill_all_attempts_on={3}),
+    ).run(_specs())
+    assert time.monotonic() - started < 10.0  # three instant reclaims
+    poisoned = outcomes[3]
+    assert not poisoned.ok and poisoned.infrastructure
+    assert poisoned.error.startswith("quarantined: killed 3 distinct")
+    assert [o.value for o in outcomes if o.key != 3] == [
+        v for i, v in enumerate(TRUTH) if i != 3
+    ]
+    assert telemetry.quarantined == 1
+
+
+def test_supervised_kills_muted_worker_as_hung():
+    """Alive but silent: after one lease TTL of frozen heartbeats the
+    scheduler SIGKILLs its own worker and reclaims.  With one worker
+    there is no peer, so only the scheduler can end the mute."""
+    telemetry = CampaignTelemetry()
+    started = time.monotonic()
+    outcomes = TrialRunner(
+        max_workers=1,
+        backend="local-supervised",
+        lease_ttl_s=1.0,
+        heartbeat_interval_s=0.05,
+        telemetry=telemetry,
+        chaos=ChaosMonkey(mute_on={1}),
+    ).run(_specs())
+    elapsed = time.monotonic() - started
+    assert _values(outcomes) == TRUTH
+    assert telemetry.heartbeats_missed == 1
     assert telemetry.leases_reclaimed >= 1
-    assert elapsed < 30.0  # caught by missed heartbeats, not the lease TTL
+    assert elapsed < 30.0
 
 
 def test_supervised_extends_lease_for_slow_but_alive_worker():
-    """Healthy heartbeats past the lease deadline mean *slow*, not hung."""
+    """Healthy heartbeats past the lease TTL mean *slow*, not hung."""
     telemetry = CampaignTelemetry()
     specs = [TrialSpec(key=0, fn=_slow_square, args=(3, 0.6))]
     outcomes = TrialRunner(
@@ -162,12 +219,12 @@ def test_supervised_extends_lease_for_slow_but_alive_worker():
         backend="local-supervised",
         lease_ttl_s=0.15,
         heartbeat_interval_s=0.03,
-        max_lease_extensions=10,
         telemetry=telemetry,
     ).run(specs)
     assert _values(outcomes) == [9]
-    assert outcomes[0].attempts == 1  # never killed, only extended
-    assert telemetry.leases_extended >= 1
+    assert outcomes[0].attempts == 1
+    assert telemetry.leases_reclaimed == 0  # never taken over
+    assert telemetry.heartbeats_missed == 0  # never killed
 
 
 def test_supervised_waits_out_and_reclaims_contended_lease():
@@ -176,7 +233,7 @@ def test_supervised_waits_out_and_reclaims_contended_lease():
     outcomes = TrialRunner(
         max_workers=2,
         backend="local-supervised",
-        lease_ttl_s=5.0,
+        lease_ttl_s=0.5,
         telemetry=telemetry,
         chaos=chaos,
     ).run(_specs())
@@ -188,92 +245,27 @@ def test_supervised_waits_out_and_reclaims_contended_lease():
     assert sum(1 for o in outcomes if o.key == 2) == 1
 
 
-# -- deterministic retry schedule ---------------------------------------------
-
-
-def test_retry_backoff_schedule_is_pure_and_bounded():
-    a = retry_backoff_schedule(7, ("rho", 3), 5, base_s=0.05, cap_s=2.0)
-    b = retry_backoff_schedule(7, ("rho", 3), 5, base_s=0.05, cap_s=2.0)
-    assert a == b
-    assert len(a) == 4
-    for k, delay in enumerate(a):
-        ceiling = min(2.0, 0.05 * 2**k)
-        assert 0.5 * ceiling <= delay < ceiling
-    # Different trials and different seeds get different jitter.
-    assert a != retry_backoff_schedule(7, ("rho", 4), 5)
-    assert a != retry_backoff_schedule(8, ("rho", 3), 5)
-
-
-def _retry_events(workers):
-    telemetry = CampaignTelemetry()
-    chaos = ChaosMonkey(kill_on={1, 3})
-    TrialRunner(
-        max_workers=workers,
-        backend="local-supervised",
-        lease_ttl_s=5.0,
-        max_attempts=3,
-        retry_seed=11,
-        retry_backoff_base_s=0.001,  # keep the test fast
-        telemetry=telemetry,
-        chaos=chaos,
-    ).run(_specs())
-    return sorted(
-        (e.key, e.detail)
-        for e in telemetry.events
-        if e.kind == "retry-backoff"
-    )
-
-
-def test_retry_schedule_identical_across_worker_counts():
-    serial_like = _retry_events(workers=1)
-    parallel = _retry_events(workers=4)
-    assert serial_like == parallel
-    assert len(serial_like) == 2  # one backoff per killed trial
-
-
-# -- circuit breaker and degradation ladder -----------------------------------
+# -- degradation ladder --------------------------------------------------------
 
 
 def test_breaker_trip_completes_campaign_via_degradation():
+    """Workers dying faster than the respawn budget trip the queue's
+    breaker: the campaign finishes one rung down, chaos-free."""
     telemetry = CampaignTelemetry()
     chaos = ChaosMonkey(kill_all_attempts_on={0, 1, 2})
     outcomes = TrialRunner(
         max_workers=2,
         backend="local-supervised",
-        lease_ttl_s=5.0,
-        max_attempts=2,
-        breaker_threshold=3,
-        retry_backoff_base_s=0.001,
+        lease_ttl_s=30.0,
+        quarantine_after=100,  # keep quarantine out of this test
         telemetry=telemetry,
         chaos=chaos,
     ).run(_specs())
-    # Sabotage killed every attempt of three trials, yet degradation
-    # (chaos-free pool, then serial rescue) still completes everything.
     assert _values(outcomes) == TRUTH
-    assert telemetry.breaker_trips == 1
-    assert telemetry.degradations >= 1
-
-
-def test_campaign_retry_budget_caps_total_retries():
-    telemetry = CampaignTelemetry()
-    chaos = ChaosMonkey(kill_on={0, 1, 2, 3})
-    outcomes = TrialRunner(
-        max_workers=2,
-        backend="local-supervised",
-        lease_ttl_s=5.0,
-        max_attempts=3,
-        campaign_retry_budget=2,
-        breaker_threshold=100,  # keep the breaker out of this test
-        retry_backoff_base_s=0.001,
-        telemetry=telemetry,
-        chaos=chaos,
-    ).run(_specs())
-    # Budget allowed only two retries; the serial rescue still recovers
-    # the trials whose retries were denied (they failed as infra).
-    assert _values(outcomes) == TRUTH
-    assert telemetry.retries == 2
-    kinds = [e.kind for e in telemetry.events]
-    assert "retry-budget-exhausted" in kinds
+    degraded = [e for e in telemetry.events if e.kind == "degraded"]
+    assert len(degraded) == 1
+    assert degraded[0].detail.startswith("local-supervised->local-process")
+    assert "respawn budget" in degraded[0].detail
 
 
 # -- journal integration ------------------------------------------------------
@@ -282,20 +274,21 @@ def test_campaign_retry_budget_caps_total_retries():
 def test_supervised_journals_leases_and_resumes_bit_identically(tmp_path):
     path = str(tmp_path / "sup.jsonl")
     fingerprint = campaign_fingerprint(kind="backend-test", n=6)
-    chaos = ChaosMonkey(kill_on={1}, kill_all_attempts_on={4})
     journal = open_journal(path, fingerprint, resume=False)
     try:
         first = TrialRunner(
             max_workers=2,
             backend="local-supervised",
-            lease_ttl_s=5.0,
-            max_attempts=2,
-            retry_backoff_base_s=0.001,
-            chaos=chaos,
+            lease_ttl_s=30.0,
+            chaos=ChaosMonkey(kill_on={1}),
         ).run(_specs(), journal=journal)
     finally:
         journal.close()
-    assert _values(first) == TRUTH  # serial rescue saved trial 4
+    assert _values(first) == TRUTH
+    with open(path, encoding="utf-8") as handle:
+        leases = [line for line in handle if '"kind":"lease"' in line]
+    assert len(leases) >= 7  # one per claim, plus the reclaim of trial 1
+    assert read_lease_state(path, fingerprint) == {}  # all settled
 
     journal = open_journal(path, fingerprint, resume=True)
     telemetry = CampaignTelemetry()
@@ -310,15 +303,14 @@ def test_supervised_journals_leases_and_resumes_bit_identically(tmp_path):
 
 
 def test_expired_foreign_lease_is_reclaimed_not_double_run(tmp_path):
-    """A lease left by a dead owner delays the trial but never duplicates
-    it: exactly one fresh result, counted once."""
+    """A lease left in the journal by a dead owner is a transcript, not
+    a claim: the resume runs the trial exactly once, counted once."""
     path = str(tmp_path / "lease.jsonl")
     fingerprint = campaign_fingerprint(kind="backend-test", n=6)
     journal = open_journal(path, fingerprint, resume=False)
     journal.record_lease(2, "dead-owner", 1, ttl_s=0.2)
     journal.close()
 
-    time.sleep(0.25)  # let the foreign lease expire
     journal = open_journal(path, fingerprint, resume=True)
     telemetry = CampaignTelemetry()
     try:
@@ -332,6 +324,7 @@ def test_expired_foreign_lease_is_reclaimed_not_double_run(tmp_path):
         journal.close()
     assert _values(outcomes) == TRUTH
     assert sum(1 for o in outcomes if o.key == 2) == 1
-    assert any(
-        e.kind == "lease-reclaimed" and e.key == 2 for e in telemetry.events
-    )
+    assert sum(
+        1 for e in telemetry.events if e.kind == "claim-won" and e.key == 2
+    ) == 1
+    assert read_lease_state(path, fingerprint) == {}  # superseded + settled

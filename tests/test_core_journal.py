@@ -8,6 +8,8 @@ campaign is rejected, never merged.
 """
 
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -363,6 +365,18 @@ def test_monte_carlo_resume_matches_fresh(tmp_path):
 # -- supervision records: leases, heartbeats, events --------------------------
 
 
+def _legacy_heartbeat(journal, key, owner, seq):
+    """Append a ``heartbeat`` record as pre-merge journals carry them.
+
+    Nothing writes heartbeats any more; readers must still skip them.
+    """
+    journal._write_line(
+        {"kind": "heartbeat", "key": trial_key_id(key), "owner": owner,
+         "seq": seq, "t": 0.0},
+        fsync=False,
+    )
+
+
 def test_lease_records_supersede_and_trials_release(tmp_path):
     from repro.core.journal import read_lease_state
 
@@ -390,20 +404,11 @@ def test_lease_expiry_is_wall_clock(tmp_path):
     assert lease.expired(now=lease.deadline_unix)
 
 
-def test_resume_loads_live_lease_state(tmp_path):
-    path = str(tmp_path / "lease.jsonl")
-    with TrialJournal(path, FP) as journal:
-        journal.record_lease((0, 0), "prior-owner", 1, ttl_s=3600.0)
-    with TrialJournal(path, FP, resume=True) as journal:
-        assert trial_key_id((0, 0)) in journal.leases
-        assert journal.leases[trial_key_id((0, 0))].owner == "prior-owner"
-
-
 def test_supervision_records_are_invisible_to_read_completed(tmp_path):
     path = str(tmp_path / "mixed.jsonl")
     with TrialJournal(path, FP) as journal:
         journal.record_lease((0, 0), "o", 1, ttl_s=60.0)
-        journal.record_heartbeat((0, 0), "o", seq=1)
+        _legacy_heartbeat(journal, (0, 0), "o", seq=1)
         journal.record_campaign_event("degraded", "supervised->process")
         journal.record_success((0, 0), 42, attempts=1, wall_clock_s=0.1)
     completed = read_completed(path, FP)
@@ -418,8 +423,8 @@ def _write_busy_journal(path):
     """A journal with superseded records worth compacting."""
     with TrialJournal(path, FP) as journal:
         journal.record_lease((0, 0), "a", 1, ttl_s=60.0)
-        journal.record_heartbeat((0, 0), "a", seq=1)
-        journal.record_heartbeat((0, 0), "a", seq=2)
+        _legacy_heartbeat(journal, (0, 0), "a", seq=1)
+        _legacy_heartbeat(journal, (0, 0), "a", seq=2)
         journal.record_failure((0, 0), "first try died", attempts=1)
         journal.record_lease((0, 0), "a", 2, ttl_s=60.0)
         journal.record_success((0, 0), 7, attempts=2, wall_clock_s=0.2)
@@ -516,7 +521,7 @@ def test_compacted_journal_resumes_a_real_campaign(tmp_path):
 
 
 def test_quarantine_record_roundtrips_and_releases_lease(tmp_path):
-    from repro.core.journal import read_quarantine
+    from repro.core.journal import read_lease_state, read_quarantine
 
     path = str(tmp_path / "poison.jsonl")
     with TrialJournal(path, FP) as journal:
@@ -527,10 +532,10 @@ def test_quarantine_record_roundtrips_and_releases_lease(tmp_path):
             attempts=2,
             traceback_text="Fatal Python error: Segmentation fault",
         )
-        # Duplicate owners collapse; the in-memory lease is released.
+        # Duplicate owners collapse.
         assert record.owners == ("vm-a:11:1", "vm-b:22:2")
-        assert trial_key_id((3, 0)) not in journal.leases
         assert journal.quarantined == {trial_key_id((3, 0)): record}
+    assert read_lease_state(path, FP) == {}  # quarantine released it
     parked = read_quarantine(path, FP)
     assert parked == {trial_key_id((3, 0)): record}
     assert "Segmentation fault" in parked[trial_key_id((3, 0))].traceback
@@ -601,3 +606,70 @@ def test_journal_creation_fsyncs_parent_directory(tmp_path, monkeypatch):
     path = str(tmp_path / "fresh.jsonl")
     TrialJournal(path, FP).close()
     assert synced == [str(tmp_path)]
+
+
+# -- a journal written before the lease systems merged ------------------------
+
+#: Written by the pre-merge ``local-supervised`` backend (its own lease,
+#: heartbeat and event records): trials ("old", 0..2) completed through a
+#: breaker trip and a degradation, then an open lease was left on
+#: ("old", 3); ("old", 4) was never started.
+OLD_JOURNAL = os.path.join(
+    os.path.dirname(__file__), "fixtures", "supervised_journal.jsonl"
+)
+OLD_FP = campaign_fingerprint(kind="old-journal-fixture", trials=5)
+
+
+def _fixture_trial(x):
+    return (x, x * x, x / 7.0)
+
+
+def _old_specs():
+    return [
+        TrialSpec(key=("old", i), fn=_fixture_trial, args=(i,))
+        for i in range(5)
+    ]
+
+
+@pytest.fixture
+def old_journal(tmp_path):
+    path = tmp_path / "old.jsonl"
+    shutil.copyfile(OLD_JOURNAL, path)
+    return str(path)
+
+
+def test_old_supervised_journal_resumes_bit_identically(old_journal):
+    truth = [o.value for o in TrialRunner().run(_old_specs())]
+    journal = open_journal(old_journal, OLD_FP, resume=True)
+    telemetry = CampaignTelemetry()
+    try:
+        outcomes = TrialRunner(
+            max_workers=2, backend="local-supervised", telemetry=telemetry
+        ).run(_old_specs(), journal=journal)
+    finally:
+        journal.close()
+    assert [o.value for o in outcomes] == truth
+    assert telemetry.trials_resumed == 3
+    assert telemetry.trials_completed == 2  # the open lease did not block
+
+
+def test_old_supervised_journal_accepted_by_inspect_and_compact(
+    old_journal, capsys
+):
+    from repro.cli import main
+
+    assert main(["journal", "inspect", old_journal]) == 0
+    out = capsys.readouterr().out
+    assert "trials ok       : 3" in out
+    assert "heartbeats      : 14" in out
+    assert "events          : 2" in out
+    assert '["old",3]: owner dead-runner' in out
+
+    before = read_completed(old_journal, OLD_FP)
+    assert main(["journal", "compact", old_journal]) == 0
+    assert "compacted" in capsys.readouterr().out
+    assert read_completed(old_journal, OLD_FP).keys() == before.keys()
+    with open(old_journal, encoding="utf-8") as handle:
+        kinds = [json.loads(line)["kind"] for line in handle]
+    assert "heartbeat" not in kinds
+    assert kinds.count("event") == 2 and kinds.count("lease") == 1

@@ -8,15 +8,14 @@ reference; grid link-cache rows against per-link reference loops),
 per-model (full NaSch / multilane trajectories under a shared seed),
 and per-ledger (DcfBook's scalar updates versus its
 batched backend-routed sweeps).  Around the identity core sit the
-plumbing tests: warn-once fallback when numba is missing (an import
-blocker makes that deterministic on any machine), case-insensitive
-registry resolution, singleton caching, the ``REPRO_KERNELS``
-override, and pickling backends by name across a journal boundary.
+plumbing tests: the removed ``numba`` name warning once and resolving
+like ``auto``, case-insensitive registry resolution, singleton caching,
+the ``REPRO_KERNELS`` override, and pickling backends by name across a
+journal boundary.
 """
 
 import dataclasses
 import pickle
-import sys
 import warnings
 
 import numpy as np
@@ -41,14 +40,14 @@ from repro.phy.spatial import UniformGridIndex
 def _distinct_backends():
     """One instance per distinct backend importable on this machine.
 
-    ``numba`` and ``cjit`` may silently resolve to their fallbacks
-    (python / vector) where the toolchain is missing; deduplicating by
-    resolved name keeps the identity sweep meaningful either way.
+    ``cjit`` may silently resolve to its ``vector`` fallback where no C
+    compiler exists; deduplicating by resolved name keeps the identity
+    sweep meaningful either way.
     """
     seen = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for name in ("python", "vector", "numba", "cjit", "auto"):
+        for name in ("python", "vector", "cjit", "auto"):
             backend = resolve_backend(name)
             seen[backend.name] = backend
     return sorted(seen.values(), key=lambda b: b.name)
@@ -333,37 +332,21 @@ def test_dcf_book_cw_scalar_updates():
 # -- resolution, fallback, caching --------------------------------------------
 
 
-class _NumbaImportBlocker:
-    """Meta-path hook making ``import numba`` fail deterministically."""
-
-    def find_module(self, name, path=None):
-        return self if name == "numba" or name.startswith("numba.") else None
-
-    def find_spec(self, name, path=None, target=None):
-        if name == "numba" or name.startswith("numba."):
-            raise ImportError(f"{name} blocked by test fixture")
-        return None
-
-
 @pytest.fixture
 def no_numba(monkeypatch):
-    """Hide numba (even if installed) and clear the backend caches, so
-    the fallback path runs identically on every machine."""
-    blocker = _NumbaImportBlocker()
-    monkeypatch.setattr(sys, "meta_path", [blocker] + sys.meta_path)
-    for module in [m for m in sys.modules if
-                   m == "numba" or m.startswith("numba.")]:
-        monkeypatch.delitem(sys.modules, module)
+    """Clear the backend caches so the ``numba`` name resolves (and
+    warns) afresh."""
     monkeypatch.setattr(kernels_pkg, "_BACKENDS", {})
     monkeypatch.setattr(kernels_pkg, "_WARNED", set())
     yield
 
 
 def test_missing_numba_warns_once_and_falls_back(no_numba):
-    with pytest.warns(RuntimeWarning, match="falling back"):
+    """The numba backend was removed; its name stays accepted (saved
+    scenarios load) and resolves like ``auto``."""
+    with pytest.warns(RuntimeWarning, match="falling back.*'auto'"):
         backend = resolve_backend("numba")
-    assert backend.name == "python"
-    assert not backend.compiled
+    assert backend is resolve_backend("auto")
     # Second resolution: cached, silent.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
