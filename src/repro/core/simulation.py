@@ -25,7 +25,6 @@ import numpy as np
 from repro.core import registry
 from repro.core.config import Scenario
 from repro.des.engine import Simulator
-from repro.kernels import DcfBook
 from repro.mac.dcf import MacStats
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.delay import DelayStats, delay_stats
@@ -313,12 +312,10 @@ class CavenetSimulation:
 
         Each node gets its own ``"mac-<id>"`` and ``"routing-<id>"``
         streams; the protocol comes from the ``routing`` registry via
-        :func:`repro.routing.make_protocol`.  All MACs share one
-        :class:`~repro.kernels.dcf_book.DcfBook` (struct-of-arrays
-        contention state) on the scenario's kernel backend.
+        :func:`repro.routing.make_protocol`.  Each MAC keeps its own
+        contention state (see :class:`~repro.mac.dcf.Mac80211`).
         """
         scenario = self.scenario
-        book = DcfBook(kernels=scenario.kernels)
         tech = self.build_tech()
         nodes: List[Node] = []
         for node_id in range(scenario.num_nodes):
@@ -330,7 +327,6 @@ class CavenetSimulation:
                 scenario.mac_params,
                 metrics,
                 rng=streams.stream(f"mac-{node_id}"),
-                dcf_book=book,
                 tech=tech,
             )
             protocol = make_protocol(

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.des.event import Event
@@ -24,6 +25,12 @@ class Simulator:
     would be a Python call — and heap sifting is the hottest spot of a
     packed simulation (millions of comparisons per run).  ``seq`` is unique,
     so the comparison never falls through to the event object.
+
+    Two ways in share that one ``(time, seq)`` order: :meth:`schedule`
+    returns a cancellable :class:`Event` (timers, timeouts), while
+    :meth:`post` pushes a bare ``(time, seq, callback, args)`` entry for
+    the events nobody cancels (per-receiver signal arrivals and ends), so
+    the data plane allocates no handle per event.
 
     Two always-on invariant guards protect long campaigns from silent
     state corruption, both O(1) per event:
@@ -57,20 +64,21 @@ class Simulator:
         )
         self._same_time_run = 0
         self._now = 0.0
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[tuple] = []
+        #: Entries ever pushed (also the next tie-breaking sequence number).
         self._seq = 0
         self._running = False
         self._stopped = False
-        # Active (scheduled, not yet fired, not cancelled) event count,
-        # maintained incrementally so `pending_events` never scans the heap
-        # (it is polled from monitoring/telemetry paths).
-        self._active = 0
-        self._note_cancel = self._decrement_active
+        # Handles cancelled before firing.  With ``_seq`` and
+        # ``events_processed`` it makes `pending_events` exact without
+        # per-event bookkeeping or heap scans.
+        self._cancelled = 0
+        self._note_cancel = self._count_cancel
         #: Events fired so far (cancelled events are skipped, not counted).
         self.events_processed = 0
 
-    def _decrement_active(self) -> None:
-        self._active -= 1
+    def _count_cancel(self) -> None:
+        self._cancelled += 1
 
     @property
     def now(self) -> float:
@@ -80,7 +88,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-fired, not-cancelled events.  O(1)."""
-        return self._active
+        return self._seq - self.events_processed - self._cancelled
 
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
@@ -96,9 +104,24 @@ class Simulator:
         seq = self._seq
         event = Event(time, seq, callback, args, self._note_cancel)
         self._seq = seq + 1
-        self._active += 1
-        heapq.heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event))
         return event
+
+    def post(
+        self, delay: float, callback: Callable[..., Any], *args: Any
+    ) -> None:
+        """Fire ``callback(*args)`` ``delay`` seconds from now; no handle.
+
+        Same ordering as :meth:`schedule` (one shared sequence counter),
+        minus the :class:`Event` allocation.  Use it for events nobody
+        will cancel; use :meth:`schedule` when the caller keeps the
+        handle.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past: delay={delay}")
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self._now + delay, seq, callback, args))
 
     def schedule_batch(
         self,
@@ -106,15 +129,13 @@ class Simulator:
     ) -> List[Event]:
         """Schedule many ``(delay, callback, args)`` entries in one call.
 
-        The fan-out primitive of the channel fast path: semantically
-        identical to calling :meth:`schedule` per item (same sequence-number
-        tie-breaking, in iteration order) but with the per-call overhead
-        hoisted out of the loop.
+        Semantically identical to calling :meth:`schedule` per item (same
+        sequence-number tie-breaking, in iteration order) but with the
+        per-call overhead hoisted out of the loop.
         """
         now = self._now
         seq = self._seq
         heap = self._heap
-        heappush = heapq.heappush
         note_cancel = self._note_cancel
         events: List[Event] = []
         try:
@@ -129,9 +150,8 @@ class Simulator:
                 seq += 1
                 events.append(event)
         finally:
-            # Keep the counters exact even if the iterable raises mid-batch.
+            # Keep the counter exact even if the iterable raises mid-batch.
             self._seq = seq
-            self._active += len(events)
         return events
 
     def schedule_at(
@@ -156,23 +176,37 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
-        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
+        limit = self.max_same_time_events
         try:
             while heap and not self._stopped:
-                time = heap[0][0]
-                if until is not None and time > until:
+                entry = heap[0]
+                time = entry[0]
+                if time > horizon:
                     break
-                event = heappop(heap)[2]
-                if event.cancelled:
-                    continue
-                self._check_time_invariants(time)
-                # Fired events leave the active count now; a later cancel()
-                # must not decrement again.
-                event.on_cancel = None
-                self._active -= 1
+                heappop(heap)
+                if len(entry) == 3:
+                    event = entry[2]
+                    if event.cancelled:
+                        continue
+                    # A fired handle's later cancel() must not count.
+                    event.on_cancel = None
+                    callback = event.callback
+                    args = event.args
+                else:
+                    callback = entry[2]
+                    args = entry[3]
+                # The guards' fast path; _check_time_invariants only raises.
+                now = self._now
+                if time > now:
+                    self._same_time_run = 0
+                elif time < now or self._same_time_run >= limit:
+                    self._check_time_invariants(time)
+                else:
+                    self._same_time_run += 1
                 self.events_processed += 1
                 self._now = time
-                event.callback(*event.args)
+                callback(*args)
             if until is not None and not self._stopped and until > self._now:
                 self._now = until
         finally:
@@ -202,15 +236,21 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the single next active event.  Returns False when drained."""
-        while self._heap:
-            time, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
+            if len(entry) == 3:
+                event = entry[2]
+                if event.cancelled:
+                    continue
+                event.on_cancel = None
+                callback, args = event.callback, event.args
+            else:
+                callback, args = entry[2], entry[3]
+            time = entry[0]
             self._check_time_invariants(time)
-            event.on_cancel = None
-            self._active -= 1
             self.events_processed += 1
             self._now = time
-            event.callback(*event.args)
+            callback(*args)
             return True
         return False

@@ -14,8 +14,9 @@ class Event:
 
     A cancelled event stays in the heap but is skipped by the engine; this
     "lazy deletion" keeps cancellation O(1).  ``on_cancel`` (set by the
-    scheduler) fires exactly once, on the first cancellation — the engine
-    uses it to keep its active-event counter exact without heap scans.
+    scheduler) fires exactly once, on the first cancellation of a
+    not-yet-fired event — the engine counts cancellations with it, so
+    ``pending_events`` stays exact without heap scans.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "on_cancel")

@@ -1,7 +1,7 @@
 """Registry-selectable kernel backends for the simulator's hot loops.
 
 The ``kernels`` registry namespace names *where* the hot inner loops
-run — NaSch CA stepping, DCF bookkeeping, the link-cache receiver
+run — NaSch CA stepping, cyclic gaps, the link-cache receiver
 filter — without changing *what* they compute (every backend is bit-identical
 to the pure-Python reference; see :mod:`repro.kernels.pyref` for the
 rules that make that guarantee hold).
@@ -39,11 +39,9 @@ from typing import Dict, Set
 from repro.core.registry import register
 from repro.core import registry as _registry
 from repro.kernels.base import KernelBackend, KernelUnavailable
-from repro.kernels.dcf_book import DcfBook
 from repro.kernels.vector import VectorBackend
 
 __all__ = [
-    "DcfBook",
     "KernelBackend",
     "KernelUnavailable",
     "VectorBackend",

@@ -1,9 +1,9 @@
 """The kernel-backend contract (and its pure-Python implementation).
 
 A *kernel backend* supplies the hot inner loops of a run — the NaSch
-update, the link-cache receiver filter and DCF bookkeeping — behind a
-fixed method surface.  Components (``NagelSchreckenberg``,
-``MultiLaneRoad``, ``Channel``, ``DcfBook``) take a backend (or its
+update, the cyclic gap sweep and the link-cache receiver filter —
+behind a fixed method surface.  Components (``NagelSchreckenberg``,
+``MultiLaneRoad``, ``Channel``) take a backend (or its
 registry name) at construction and call only these methods, so
 swapping ``kernels="python"`` for ``kernels="vector"`` or
 ``kernels="cjit"`` changes *where* the loops execute and nothing about
@@ -99,21 +99,6 @@ class KernelBackend:
             np.ascontiguousarray(thresholds, dtype=np.float64),
             sel_ids, sender_id, out,
         )
-        return out[:k]
-
-    # -- DCF struct-of-arrays bookkeeping ------------------------------------
-
-    def dcf_consume_backoffs(self, slots, started, idx, now, slot_s) -> None:
-        """Debit elapsed whole slots from the pending backoffs in ``idx``."""
-        pyref.dcf_consume_backoffs(
-            slots, started, np.ascontiguousarray(idx, dtype=np.int64),
-            now, slot_s,
-        )
-
-    def dcf_expired_navs(self, nav, now) -> np.ndarray:
-        """MAC indices whose armed NAV has expired at ``now``."""
-        out = np.empty(len(nav), dtype=np.int64)
-        k = pyref.dcf_expired_navs(nav, now, out)
         return out[:k]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -122,32 +122,6 @@ i64 row_filter(const double *powers, const double *thresholds,
     }
     return k;
 }
-
-void dcf_consume_backoffs(i64 *slots, const double *started,
-                          const i64 *idx, i64 nidx,
-                          double now, double slot_s)
-{
-    for (i64 j = 0; j < nidx; j++) {
-        i64 i = idx[j];
-        if (slots[i] > 0) {
-            i64 consumed = (i64)((now - started[i]) / slot_s);
-            i64 remaining = slots[i] - consumed;
-            slots[i] = remaining > 0 ? remaining : 0;
-        }
-    }
-}
-
-i64 dcf_expired_navs(const double *nav, i64 n, double now, i64 *out_idx)
-{
-    i64 k = 0;
-    for (i64 i = 0; i < n; i++) {
-        if (nav[i] > 0.0 && nav[i] <= now) {
-            out_idx[k] = i;
-            k++;
-        }
-    }
-    return k;
-}
 """
 
 #: Raw-address argtype: int -> pointer conversion happens in C (see the
@@ -227,12 +201,6 @@ def _build_library() -> ctypes.CDLL:
     lib.cyclic_gaps.restype = None
     lib.row_filter.argtypes = [_PTR, _PTR, _PTR, _c_i64, _c_i64, _PTR]
     lib.row_filter.restype = _c_i64
-    lib.dcf_consume_backoffs.argtypes = [
-        _PTR, _PTR, _PTR, _c_i64, _c_f64, _c_f64,
-    ]
-    lib.dcf_consume_backoffs.restype = None
-    lib.dcf_expired_navs.argtypes = [_PTR, _c_i64, _c_f64, _PTR]
-    lib.dcf_expired_navs.restype = _c_i64
     return lib
 
 
@@ -278,19 +246,5 @@ class CjitBackend(VectorBackend):
         k = int(self._lib.row_filter(
             powers.ctypes.data, thresholds.ctypes.data,
             sel_ids.ctypes.data, sender_id, len(powers), out.ctypes.data,
-        ))
-        return out[:k]
-
-    def dcf_consume_backoffs(self, slots, started, idx, now, slot_s) -> None:
-        idx = np.ascontiguousarray(idx, dtype=np.int64)
-        self._lib.dcf_consume_backoffs(
-            slots.ctypes.data, started.ctypes.data, idx.ctypes.data,
-            len(idx), now, slot_s,
-        )
-
-    def dcf_expired_navs(self, nav, now) -> np.ndarray:
-        out = np.empty(len(nav), dtype=np.int64)
-        k = int(self._lib.dcf_expired_navs(
-            nav.ctypes.data, len(nav), now, out.ctypes.data
         ))
         return out[:k]

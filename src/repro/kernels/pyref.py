@@ -1,7 +1,7 @@
 """Pure-Python reference kernels: the bit-identity ground truth.
 
 Every function here is the explicit-loop statement of one hot inner
-loop — the NaSch update, the link-cache receiver filter, DCF bookkeeping.
+loop — the NaSch update, cyclic gaps, the link-cache receiver filter.
 They are written in a subset with a line-for-line C translation (see
 :mod:`repro.kernels.cjit`): plain
 ``for`` loops over preallocated int64/float64/bool arrays, no Python
@@ -13,10 +13,10 @@ statement) and then be proven bit-identical against them.
 Bit-identity rules the kernels obey (see docs/API.md "Compiled
 kernels"):
 
-* **No RNG inside a kernel.**  Randomness (dawdle draws, backoff
-  draws) is drawn by the caller from the owning component's generator
-  in the documented order and passed in as a pre-drawn variate array,
-  so every backend consumes the stream identically.
+* **No RNG inside a kernel.**  Randomness (dawdle draws) is drawn by
+  the caller from the owning component's generator in the documented
+  order and passed in as a pre-drawn variate array, so every backend
+  consumes the stream identically.
 * **No transcendental math inside a kernel.**  Distances (hypot) and
   received powers come in as arrays computed by the shared numpy code;
   kernels only do integer state evolution, IEEE +,-,*,/ and
@@ -101,30 +101,3 @@ def row_filter(powers, thresholds, sel_ids, sender, out_idx):
             k += 1
     return k
 
-
-def dcf_consume_backoffs(slots, started, idx, now, slot_s):
-    """Freeze pending backoffs: debit whole elapsed slots (batched).
-
-    For each MAC index in ``idx`` with a positive slot count, subtracts
-    ``int(elapsed / slot_s)`` and clamps at zero — the identical
-    truncating arithmetic :class:`~repro.mac.dcf.Mac80211` applies on
-    a medium-busy transition.
-    """
-    for j in range(idx.shape[0]):
-        i = idx[j]
-        if slots[i] > 0:
-            consumed = int((now - started[i]) / slot_s)
-            remaining = slots[i] - consumed
-            if remaining < 0:
-                remaining = 0
-            slots[i] = remaining
-
-
-def dcf_expired_navs(nav, now, out_idx):
-    """Indices whose armed NAV (> 0) has expired (<= now), batched."""
-    k = 0
-    for i in range(nav.shape[0]):
-        if nav[i] > 0.0 and nav[i] <= now:
-            out_idx[k] = i
-            k += 1
-    return k

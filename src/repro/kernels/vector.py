@@ -59,16 +59,3 @@ class VectorBackend(KernelBackend):
     def row_filter(self, powers, thresholds, sel_ids, sender_id):
         mask = (powers >= thresholds) & (sel_ids != sender_id)
         return np.nonzero(mask)[0]
-
-    # -- DCF struct-of-arrays bookkeeping ------------------------------------
-
-    def dcf_consume_backoffs(self, slots, started, idx, now, slot_s) -> None:
-        idx = np.asarray(idx, dtype=np.int64)
-        active = idx[slots[idx] > 0]
-        if len(active) == 0:
-            return
-        consumed = ((now - started[active]) / slot_s).astype(np.int64)
-        slots[active] = np.maximum(slots[active] - consumed, 0)
-
-    def dcf_expired_navs(self, nav, now) -> np.ndarray:
-        return np.nonzero((nav > 0.0) & (nav <= now))[0].astype(np.int64)

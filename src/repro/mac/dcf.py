@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.des.engine import Simulator
 from repro.des.event import Event
-from repro.kernels.dcf_book import DcfBook
 from repro.mac.frames import Frame, FrameType
 from repro.mac.params import Mac80211Params
 from repro.net.address import BROADCAST
@@ -66,20 +65,19 @@ class _TxContext:
 class Mac80211:
     """One node's DCF entity, between the network layer and its radio.
 
-    Contention state (CW, pending backoff slots, NAV horizon) lives in a
-    :class:`~repro.kernels.dcf_book.DcfBook` — a struct-of-arrays ledger
-    shared by every MAC of a simulation when the caller passes one in
-    (``build_nodes`` does), or private to this MAC otherwise.  Scalar
-    transitions stay inline Python (the DES delivers them one event at a
-    time); population-wide sweeps go through the book's batched kernels.
+    Contention state is plain attributes, updated one DES event at a
+    time: ``cw`` (contention window), ``backoff_slots`` (pending backoff
+    slots; ``-1`` means no draw taken yet, distinct from ``0``, a draw
+    fully consumed), ``backoff_started`` (when the running countdown
+    began), ``need_backoff`` and ``nav_until`` (absolute NAV horizon,
+    ``0.0`` until first armed).
 
     Rates come from a :class:`~repro.phy.tech.TechProfile` (``tech=``;
     defaults to the non-adaptive profile mirroring ``params``, which is
     bit-identical to the fixed-rate code it replaced).  With an
     adaptive profile, each unicast DATA frame is sent at the MCS the
     receiver's cached mean SNR selects — a deterministic table lookup,
-    no RNG — and the chosen rate is recorded in the book's
-    ``last_rate_bps`` column.  Control frames (RTS/CTS/ACK) always use
+    no RNG.  Control frames (RTS/CTS/ACK) always use
     the profile's basic rate; response timeouts stay on ``params``
     (legacy basic rate), which is conservative — never shorter than
     the actual response airtime.
@@ -92,7 +90,6 @@ class Mac80211:
         params: Mac80211Params,
         rng: Optional[np.random.Generator] = None,
         queue_capacity: int = 50,
-        book: Optional[DcfBook] = None,
         tech: Optional[TechProfile] = None,
     ) -> None:
         self._sim = sim
@@ -110,8 +107,11 @@ class Mac80211:
         self._down = False
         self._current: Optional[_TxContext] = None
         self._outgoing: Optional[Frame] = None
-        self._book = book if book is not None else DcfBook()
-        self._slot = self._book.register(params.cw_min)
+        self.cw = params.cw_min
+        self.backoff_slots = -1
+        self.backoff_started = 0.0
+        self.need_backoff = False
+        self.nav_until = 0.0
         self._timer: Optional[Event] = None
         self._timer_kind = ""
         self._nav_wakeup: Optional[Event] = None
@@ -149,16 +149,6 @@ class Mac80211:
     def queue(self) -> DropTailQueue:
         """The interface queue."""
         return self._queue
-
-    @property
-    def book(self) -> DcfBook:
-        """The struct-of-arrays ledger holding this MAC's contention state."""
-        return self._book
-
-    @property
-    def book_slot(self) -> int:
-        """This MAC's index into :attr:`book`'s arrays."""
-        return self._slot
 
     # -- network-layer entry points -----------------------------------------
 
@@ -207,11 +197,10 @@ class Mac80211:
                 event.cancel()
                 setattr(self, attr, None)
         self._timer_kind = ""
-        book, i = self._book, self._slot
-        book.cw[i] = self._params.cw_min
-        book.backoff_slots[i] = -1
-        book.need_backoff[i] = False
-        book.nav_until[i] = 0.0
+        self.cw = self._params.cw_min
+        self.backoff_slots = -1
+        self.need_backoff = False
+        self.nav_until = 0.0
         self._dup_cache.clear()
         while True:
             head = self._queue.dequeue()
@@ -247,14 +236,11 @@ class Mac80211:
             return
         if self._outgoing is not None:
             return  # mid-transmission; on_tx_done resumes
-        book, i = self._book, self._slot
         if not self._medium_free():
-            book.need_backoff[i] = True
+            self.need_backoff = True
             return
-        if book.need_backoff[i] and book.backoff_slots[i] < 0:
-            book.backoff_slots[i] = int(
-                self._rng.integers(0, int(book.cw[i]) + 1)
-            )
+        if self.need_backoff and self.backoff_slots < 0:
+            self.backoff_slots = int(self._rng.integers(0, self.cw + 1))
         self._timer_kind = "difs"
         self._timer = self._sim.schedule(self._params.difs_s, self._difs_done)
 
@@ -262,28 +248,27 @@ class Mac80211:
         self._timer = None
         if not self._medium_free():
             return
-        book, i = self._book, self._slot
-        slots = int(book.backoff_slots[i])
+        slots = self.backoff_slots
         if slots > 0:
             self._timer_kind = "backoff"
-            book.backoff_started[i] = self._sim.now
+            self.backoff_started = self._sim.now
             self._timer = self._sim.schedule(
                 slots * self._params.slot_s, self._backoff_done
             )
         else:
-            book.backoff_slots[i] = -1
-            book.need_backoff[i] = False
+            self.backoff_slots = -1
+            self.need_backoff = False
             self._transmit_current()
 
     def _backoff_done(self) -> None:
         self._timer = None
-        self._book.backoff_slots[self._slot] = -1
-        self._book.need_backoff[self._slot] = False
+        self.backoff_slots = -1
+        self.need_backoff = False
         self._transmit_current()
 
     def _medium_free(self) -> bool:
         return not self._radio.medium_busy() and (
-            self._sim.now >= float(self._book.nav_until[self._slot])
+            self._sim.now >= self.nav_until
         )
 
     # -- radio callbacks ------------------------------------------------------
@@ -292,18 +277,21 @@ class Mac80211:
         """Physical carrier went busy: freeze any pending access timers."""
         if self._down:
             return
-        self._book.need_backoff[self._slot] = True
+        self.need_backoff = True
         if self._timer is not None:
-            if self._timer_kind == "backoff":
-                self._book.consume_backoff(
-                    self._slot, self._sim.now, self._params.slot_s
+            if self._timer_kind == "backoff" and self.backoff_slots > 0:
+                # Freeze the countdown: debit the whole slots elapsed.
+                consumed = int(
+                    (self._sim.now - self.backoff_started)
+                    / self._params.slot_s
                 )
+                self.backoff_slots = max(self.backoff_slots - consumed, 0)
             self._timer.cancel()
             self._timer = None
 
     def on_medium_idle(self) -> None:
         """Physical carrier went idle: resume the access procedure."""
-        if self._down:
+        if self._down or self._current is None:
             return
         self._begin_access()
 
@@ -334,12 +322,11 @@ class Mac80211:
         """A frame decoded successfully at our radio."""
         if self._down:
             return
-        me = self.address
         if frame.rx_addr == BROADCAST:
             if frame.frame_type is FrameType.DATA:
                 self._on_receive(frame.packet, frame.tx_addr)
             return
-        if frame.rx_addr != me:
+        if frame.rx_addr != self.address:
             # Virtual carrier sense: honour the Duration field.
             self._update_nav(self._sim.now + frame.duration_s)
             return
@@ -357,7 +344,7 @@ class Mac80211:
         elif frame.frame_type is FrameType.ACK:
             self._on_response(FrameType.ACK)
         elif frame.frame_type is FrameType.RTS:
-            if self._sim.now >= float(self._book.nav_until[self._slot]):
+            if self._sim.now >= self.nav_until:
                 self._sim.schedule(
                     self._params.sifs_s, self._send_response, FrameType.CTS,
                     frame.tx_addr,
@@ -410,7 +397,6 @@ class Mac80211:
         self._outgoing = frame
         self.stats.data_tx += 1
         rate = self._rate_for(ctx.next_hop)
-        self._book.last_rate_bps[self._slot] = rate
         self._radio.transmit(frame, self._tech.frame_airtime(size, rate))
 
     def _transmit_rts(self, ctx: _TxContext) -> None:
@@ -517,10 +503,10 @@ class Mac80211:
         self.stats.retransmissions += 1
         if ctx.use_rts:
             ctx.phase = "rts"
-        book, i = self._book, self._slot
-        book.double_cw(i, self._params.cw_max)
-        book.backoff_slots[i] = int(self._rng.integers(0, int(book.cw[i]) + 1))
-        book.need_backoff[i] = True
+        # Binary-exponential CW growth, saturating at cw_max.
+        self.cw = min(2 * (self.cw + 1) - 1, self._params.cw_max)
+        self.backoff_slots = int(self._rng.integers(0, self.cw + 1))
+        self.need_backoff = True
         self._begin_access()
 
     def _complete(self) -> None:
@@ -528,15 +514,17 @@ class Mac80211:
         self._current = None
         # Post-transmission backoff: the standard requires a fresh backoff
         # before the next frame, which also de-synchronises flooding storms.
-        self._book.reset(self._slot, self._params.cw_min)
+        self.cw = self._params.cw_min
+        self.backoff_slots = -1
+        self.need_backoff = True
         self._serve()
 
     # -- NAV -----------------------------------------------------------------
 
     def _update_nav(self, until: float) -> None:
-        if until <= float(self._book.nav_until[self._slot]):
+        if until <= self.nav_until:
             return
-        self._book.nav_until[self._slot] = until
+        self.nav_until = until
         if self._nav_wakeup is not None:
             self._nav_wakeup.cancel()
         self._nav_wakeup = self._sim.schedule(

@@ -39,7 +39,6 @@ class Node:
         metrics: MetricsCollector,
         rng: Optional[np.random.Generator] = None,
         queue_capacity: int = 50,
-        dcf_book=None,
         tech=None,
     ) -> None:
         self.sim = sim
@@ -47,8 +46,7 @@ class Node:
         self.metrics = metrics
         self.radio = Radio(sim, node_id, phy_params, channel)
         self.mac = Mac80211(
-            sim, self.radio, mac_params, rng, queue_capacity,
-            book=dcf_book, tech=tech,
+            sim, self.radio, mac_params, rng, queue_capacity, tech=tech,
         )
         self.mac.attach_upper(self._mac_receive, self._mac_failure)
         self.routing: Optional["RoutingProtocol"] = None

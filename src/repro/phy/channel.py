@@ -649,10 +649,9 @@ class Channel:
             delays = delay_row[idx].tolist()
         self.frames_delivered += len(radios)
         self.frames_cs_dropped += len(self._radios) - 1 - len(radios)
-        self._sim.schedule_batch(
-            (delay, radio.signal_start, (frame, power, duration_s))
-            for radio, power, delay in zip(radios, powers, delays)
-        )
+        post = self._sim.post
+        for radio, power, delay in zip(radios, powers, delays):
+            post(delay, radio.signal_start, frame, power, duration_s)
 
     def _transmit_scalar(
         self, sender_id: int, frame: Frame, duration_s: float
@@ -688,6 +687,6 @@ class Channel:
                 continue
             delay = distance / SPEED_OF_LIGHT if self._prop_delay else 0.0
             self.frames_delivered += 1
-            self._sim.schedule(
+            self._sim.post(
                 delay, radio.signal_start, frame, power, duration_s
             )

@@ -49,12 +49,11 @@ class MacCallbacks(Protocol):
 class _Signal:
     """One in-flight arriving transmission at this radio."""
 
-    __slots__ = ("frame", "power", "end_time", "corrupted", "max_interference")
+    __slots__ = ("frame", "power", "corrupted", "max_interference")
 
-    def __init__(self, frame: Frame, power: float, end_time: float) -> None:
+    def __init__(self, frame: Frame, power: float) -> None:
         self.frame = frame
         self.power = power
-        self.end_time = end_time
         self.corrupted = False
         self.max_interference = 0.0
 
@@ -86,7 +85,6 @@ class Radio:
         #: signals entirely — nothing is detectable, nothing decodable.
         self.enabled = True
         self._transmitting = False
-        self._tx_end = 0.0
         #: Cumulative seconds spent transmitting (energy accounting).
         self.airtime_tx_s = 0.0
         #: Cumulative seconds of arriving signals heard while not
@@ -164,23 +162,23 @@ class Radio:
             raise RuntimeError(
                 f"radio {self._node_id} is already transmitting"
             )
-        was_busy = self.medium_busy()
+        was_busy = bool(self._signals)
         self._transmitting = True
-        self._tx_end = self._sim.now + duration_s
         self.airtime_tx_s += duration_s
         for signal in self._signals:
             signal.corrupted = True
         if not was_busy and self._mac is not None:
             self._mac.on_medium_busy()
         self._channel.transmit(self._node_id, frame, duration_s)
-        self._sim.schedule(duration_s, self._tx_done)
+        self._sim.post(duration_s, self._tx_done)
 
     def _tx_done(self) -> None:
         self._transmitting = False
-        if self._mac is not None:
-            self._mac.on_tx_done()
-            if not self.medium_busy():
-                self._mac.on_medium_idle()
+        mac = self._mac
+        if mac is not None:
+            mac.on_tx_done()
+            if not (self._transmitting or self._signals):
+                mac.on_medium_idle()
 
     # -- receive path (driven by the channel) ------------------------------
 
@@ -188,29 +186,38 @@ class Radio:
         """The channel announces an arriving signal (already above CS)."""
         if not self.enabled:
             return
-        was_busy = self.medium_busy()
-        signal = _Signal(frame, power_w, self._sim.now + duration_s)
+        signals = self._signals
+        signal = _Signal(frame, power_w)
         if self._transmitting:
             signal.corrupted = True
+            was_busy = True
         else:
             self.airtime_rx_s += duration_s
-        # Mutual interference bookkeeping with every overlapping signal.
-        for other in self._signals:
-            other.max_interference = max(other.max_interference, power_w)
-            signal.max_interference = max(signal.max_interference, other.power)
-        self._signals.append(signal)
+            was_busy = bool(signals)
+        # Mutual interference bookkeeping with every overlapping signal
+        # (same results as max(): a tie or NaN keeps the current value).
+        for other in signals:
+            if power_w > other.max_interference:
+                other.max_interference = power_w
+            if other.power > signal.max_interference:
+                signal.max_interference = other.power
+        signals.append(signal)
         if not was_busy and self._mac is not None:
             self._mac.on_medium_busy()
-        self._sim.schedule(duration_s, self._signal_end, signal)
+        self._sim.post(duration_s, self._signal_end, signal)
 
     def _signal_end(self, signal: _Signal) -> None:
         self._signals.remove(signal)
-        decodable = (
+        mac = self._mac
+        if mac is None:
+            return
+        power = signal.power
+        if (
             not signal.corrupted
-            and signal.power >= self._rx_threshold_w
-            and signal.power >= self._capture_ratio * signal.max_interference
-        )
-        if decodable and not self._transmitting and self._mac is not None:
-            self._mac.on_frame_received(signal.frame, signal.power)
-        if not self.medium_busy() and self._mac is not None:
-            self._mac.on_medium_idle()
+            and not self._transmitting
+            and power >= self._rx_threshold_w
+            and power >= self._capture_ratio * signal.max_interference
+        ):
+            mac.on_frame_received(signal.frame, power)
+        if not (self._transmitting or self._signals):
+            mac.on_medium_idle()

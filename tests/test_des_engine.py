@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des.engine import SimulationError, Simulator
+from repro.util.errors import InvariantViolation
 
 
 def test_events_fire_in_time_order():
@@ -221,3 +222,81 @@ def test_schedule_batch_rejects_past_delays():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule_batch([(0.5, lambda: None, ()), (-0.1, lambda: None, ())])
+
+
+# -- handle-free events (post) -------------------------------------------------
+
+
+def test_posted_and_scheduled_events_share_seq_order_at_equal_times():
+    sim = Simulator()
+    fired = []
+    sim.post(1.0, fired.append, "p0")
+    sim.schedule(1.0, fired.append, "s1")
+    sim.post(1.0, fired.append, "p2")
+    sim.schedule_batch([(1.0, fired.append, ("s3",))])
+    sim.post(0.5, fired.append, "early")
+    sim.run()
+    assert fired == ["early", "p0", "s1", "p2", "s3"]
+    assert sim.events_processed == 5
+
+
+def test_post_returns_no_handle_and_rejects_negative_delay():
+    sim = Simulator()
+    assert sim.post(0.0, lambda: None) is None
+    with pytest.raises(SimulationError):
+        sim.post(-1e-9, lambda: None)
+    assert sim.pending_events == 1  # the rejected post left no entry
+
+
+def test_pending_events_exact_through_post_schedule_cancel_run_and_step():
+    sim = Simulator()
+    sim.post(1.0, lambda: None)
+    kept = sim.schedule(2.0, lambda: None)
+    dropped = sim.schedule(3.0, lambda: None)
+    sim.post(4.0, lambda: None)
+    assert sim.pending_events == 4
+    dropped.cancel()
+    dropped.cancel()
+    assert sim.pending_events == 3
+    assert sim.step()  # the posted t=1 event
+    assert sim.pending_events == 2
+    sim.run(until=2.5)  # fires `kept`
+    assert sim.pending_events == 1
+    kept.cancel()  # already fired: not counted again
+    assert sim.pending_events == 1
+    assert sim.step()  # skips the cancelled t=3 entry, fires the t=4 post
+    assert sim.pending_events == 0
+    assert not sim.step()
+    assert sim.events_processed == 3
+
+
+def test_clock_monotonicity_guard_fires_for_posted_events():
+    for drive in ("run", "step"):
+        sim = Simulator()
+        sim.post(1.0, lambda: None)
+        sim._now = 5.0  # corrupt the clock
+        with pytest.raises(InvariantViolation, match="backwards"):
+            getattr(sim, drive)()
+
+
+def test_starvation_guard_fires_for_posted_events_in_run():
+    sim = Simulator(max_same_time_events=50)
+
+    def respawn():
+        if sim.events_processed < 200:  # bounded, so a missed guard fails
+            sim.post(0.0, respawn)
+
+    sim.post(0.0, respawn)
+    with pytest.raises(InvariantViolation, match="starvation"):
+        sim.run()
+    assert sim.events_processed == 50
+
+
+def test_starvation_guard_fires_for_posted_events_in_step():
+    sim = Simulator(max_same_time_events=50)
+    for _ in range(60):
+        sim.post(1.0, lambda: None)
+    with pytest.raises(InvariantViolation, match="starvation"):
+        while sim.step():
+            pass
+    assert sim.events_processed == 51

@@ -2,16 +2,14 @@
 
 The ``kernels`` namespace promises that every backend computes the
 same thing — only the clock changes.  This suite holds the backends to
-that promise at three levels: per-kernel (randomized array inputs
+that promise at two levels: per-kernel (randomized array inputs
 through each method, compared elementwise against the pure-Python
-reference; grid link-cache rows against per-link reference loops),
-per-model (full NaSch / multilane trajectories under a shared seed),
-and per-ledger (DcfBook's scalar updates versus its
-batched backend-routed sweeps).  Around the identity core sit the
-plumbing tests: the removed ``numba`` name warning once and resolving
-like ``auto``, case-insensitive registry resolution, singleton caching,
-the ``REPRO_KERNELS`` override, and pickling backends by name across a
-journal boundary.
+reference; grid link-cache rows against per-link reference loops) and
+per-model (full NaSch / multilane trajectories under a shared seed).
+Around the identity core sit the plumbing tests: the removed ``numba``
+name warning once and resolving like ``auto``, case-insensitive
+registry resolution, singleton caching, the ``REPRO_KERNELS`` override,
+and pickling backends by name across a journal boundary.
 """
 
 import dataclasses
@@ -24,7 +22,7 @@ import pytest
 import repro.kernels as kernels_pkg
 from repro.ca.multilane import MultiLaneRoad
 from repro.ca.nasch import Boundary, NagelSchreckenberg
-from repro.kernels import DcfBook, KernelBackend, resolve_backend
+from repro.kernels import KernelBackend, resolve_backend
 from repro.des.engine import Simulator
 from repro.kernels.vector import VectorBackend
 from repro.mac.frames import Frame, FrameType
@@ -216,28 +214,6 @@ def test_row_distances_and_filter_match_reference(backend, seed):
     )
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_dcf_kernels_match_reference(backend, seed):
-    rng = np.random.default_rng(200 + seed)
-    n = 25
-    slots0 = rng.integers(-1, 30, size=n).astype(np.int64)
-    started = rng.uniform(0.0, 1.0, size=n)
-    idx = rng.choice(n, size=rng.integers(0, n), replace=False)
-    now, slot_s = 1.5, 20e-6
-
-    slots_ref, slots_obs = slots0.copy(), slots0.copy()
-    REFERENCE.dcf_consume_backoffs(slots_ref, started, idx, now, slot_s)
-    backend.dcf_consume_backoffs(slots_obs, started, idx, now, slot_s)
-    np.testing.assert_array_equal(slots_obs, slots_ref)
-
-    nav = rng.uniform(-0.5, 2.0, size=n)
-    nav[rng.random(n) < 0.3] = 0.0  # "never armed" entries
-    np.testing.assert_array_equal(
-        backend.dcf_expired_navs(nav, now),
-        REFERENCE.dcf_expired_navs(nav, now),
-    )
-
-
 # -- full-model trajectory identity -------------------------------------------
 
 
@@ -281,52 +257,6 @@ def test_nasch_trajectory_identical_across_backends(backend):
 
 def test_multilane_trajectory_identical_across_backends(backend):
     assert _multilane_trajectory(backend) == _multilane_trajectory("python")
-
-
-# -- DcfBook ------------------------------------------------------------------
-
-
-def test_dcf_book_registers_and_grows_past_initial_capacity():
-    book = DcfBook(kernels="python")
-    indices = [book.register(cw_min=31) for _ in range(40)]  # > _GROW
-    assert indices == list(range(40))
-    assert len(book) == 40
-    assert book.cw[39] == 31
-    assert book.backoff_slots[39] == -1  # no draw taken yet
-    assert book.nav_until[39] == 0.0
-    # Growth preserved earlier state (sentinel included).
-    assert set(book.backoff_slots[:40].tolist()) == {-1}
-
-
-def test_dcf_book_scalar_and_batched_sweeps_agree(backend):
-    def populated():
-        book = DcfBook(kernels=backend)
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            book.register(cw_min=15)
-        book.backoff_slots[:20] = rng.integers(-1, 25, size=20)
-        book.backoff_started[:20] = rng.uniform(0.0, 1.0, size=20)
-        return book
-
-    now, slot_s = 1.25, 20e-6
-    scalar, batched = populated(), populated()
-    for i in range(20):
-        scalar.consume_backoff(i, now, slot_s)
-    batched.consume_backoffs(np.arange(20), now, slot_s)
-    np.testing.assert_array_equal(
-        batched.backoff_slots[:20], scalar.backoff_slots[:20]
-    )
-
-
-def test_dcf_book_cw_scalar_updates():
-    book = DcfBook(kernels="python")
-    i = book.register(cw_min=15)
-    book.double_cw(i, cw_max=1023)
-    assert book.cw[i] == 31
-    book.reset(i, cw_min=15)
-    assert book.cw[i] == 15
-    assert book.backoff_slots[i] == -1
-    assert bool(book.need_backoff[i])
 
 
 # -- resolution, fallback, caching --------------------------------------------

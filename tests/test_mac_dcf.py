@@ -187,3 +187,73 @@ def test_saturation_throughput_below_channel_rate():
     delivered_bits = sum(p.size_bytes * 8 for p, _ in uppers[1].received)
     throughput = delivered_bits / 0.25
     assert 0.5e6 < throughput < 2e6
+
+
+# -- contention state ----------------------------------------------------------
+
+
+def test_backoff_freeze_debits_whole_slots_and_resumes():
+    sim, macs, _ = _network([(0, 0)])
+    mac = macs[0]
+    params = Mac80211Params()
+    slot, difs = params.slot_s, params.difs_s
+    mac.need_backoff = True
+    mac.backoff_slots = 10  # a draw already taken
+    mac.enqueue(_packet(0, 1), 1)
+    # DIFS, then the 10-slot countdown; freeze 3.5 slots into it.
+    frozen_at = difs + 3.5 * slot
+    sim.run(until=frozen_at)
+    assert mac.backoff_started == difs
+    mac.on_medium_busy()
+    assert mac.backoff_slots == 7  # the partial slot is not debited
+    # Resume: a fresh DIFS, then only the 7 remaining slots.
+    mac.on_medium_idle()
+    sim.run(until=frozen_at + difs + 6.5 * slot)
+    assert mac.stats.data_tx == 0
+    sim.run(until=frozen_at + difs + 7.5 * slot)
+    assert mac.stats.data_tx == 1
+    assert mac.backoff_slots == -1
+
+
+def test_backoff_freeze_never_debits_below_zero():
+    sim, macs, _ = _network([(0, 0)])
+    mac = macs[0]
+    params = Mac80211Params()
+    mac.need_backoff = True
+    mac.backoff_slots = 10
+    mac.enqueue(_packet(0, 1), 1)
+    sim.run(until=params.difs_s + 1.5 * params.slot_s)
+    mac.backoff_started -= 20 * params.slot_s  # 21.5 slots "elapsed"
+    mac.on_medium_busy()
+    assert mac.backoff_slots == 0
+
+
+def test_cw_doubles_per_retry_saturates_and_resets_after_final_drop():
+    params = Mac80211Params(cw_min=15, cw_max=63)
+    sim, macs, uppers = _network([(0, 0), (800, 0)], mac_params=params)
+    mac = macs[0]
+    mac.enqueue(_packet(0, 1), 1)
+    windows = []
+    while sim.step():
+        if mac.stats.retransmissions > len(windows):
+            windows.append(mac.cw)
+    assert windows == [31, 63, 63, 63, 63, 63]  # short_retry_limit 7
+    assert mac.stats.retry_drops == 1
+    assert (mac.cw, mac.backoff_slots, mac.need_backoff) == (15, -1, True)
+
+
+def test_contention_state_resets_after_success_and_after_crash():
+    sim, macs, uppers = _network([(0, 0), (150, 0)])
+    mac, params = macs[0], Mac80211Params()
+    mac.cw = 255  # as if after several failed attempts
+    mac.enqueue(_packet(0, 1), 1)
+    sim.run(until=0.1)
+    assert len(uppers[1].received) == 1
+    assert (mac.cw, mac.backoff_slots, mac.need_backoff) == (
+        params.cw_min, -1, True,
+    )
+    mac.cw, mac.backoff_slots, mac.nav_until = 127, 4, 5.0
+    mac.fail()
+    assert (mac.cw, mac.backoff_slots, mac.need_backoff, mac.nav_until) == (
+        params.cw_min, -1, False, 0.0,
+    )
