@@ -54,16 +54,27 @@ from repro.util.rng import RngStreams
 class SimulationResult:
     """Everything measured in one run, with metric accessors.
 
+    A result is detached data: :meth:`CavenetSimulation.run` cuts every
+    link to the finished network before returning it, so no simulator,
+    channel, radio, node or routing table is reachable from it, and
+    pickling one (a campaign worker, a journal line) stores only what
+    was measured.  The collector, sinks, sources and energy meters are
+    snapshots taken when the run ended; detached sources and meters
+    cannot be restarted.
+
     Attributes:
         scenario: the configuration that produced this result.
-        collector: raw packet events.
+        collector: raw packet events, stored as columns (see
+            :class:`~repro.metrics.collector.MetricsCollector`).
         trace: the mobility trace the run replayed.
         sink: the receiver's sink (per-flow receptions).
-        sources: the traffic sources, keyed by flow id.
+        sources: the traffic sources, keyed by flow id (their
+            ``packets_sent`` and ``flow_id`` only).
         sinks: per-destination sinks, keyed by node id.
         mac_stats: per-node MAC counters.
         frames_on_air: total frames the channel carried.
-        energy: per-node energy meters (ns-2 EnergyModel-style).
+        energy: per-node energy meters (ns-2 EnergyModel-style), their
+            readings frozen at the end of the run.
     """
 
     scenario: Scenario
@@ -427,6 +438,8 @@ class CavenetSimulation:
         A pre-built ``trace`` (e.g. parsed from an ns-2 movement file)
         bypasses the Behavioural Analyzer stage, exercising the same
         decoupling the paper's two-block architecture is designed around.
+        The returned result is detached from the finished network (see
+        :class:`SimulationResult`).
         """
         scenario = self.scenario
         streams = RngStreams(scenario.seed)
@@ -460,6 +473,10 @@ class CavenetSimulation:
         sim.run(until=scenario.sim_time_s)
         metrics.record_channel(channel)
         metrics.record_energy(energy)
+        # Results are plain data: drop every way back into the network.
+        metrics.detach()
+        for part in (*sinks.values(), *sources.values(), *energy.values()):
+            part.detach()
 
         return SimulationResult(
             scenario=scenario,

@@ -37,7 +37,10 @@ def _restore_backend(name: str) -> "KernelBackend":
     cross a pickle boundary, so journals and
     copies serialise only the name and rebuild on load — falling back
     (with the usual one-time warning) if the named backend is
-    unavailable on the restoring machine.
+    unavailable on the restoring machine.  Simulation results are
+    detached and hold no backend, but pickled CA models do, and so do
+    results in journals written before results were detached (their
+    channel's backend, restored through this hook).
     """
     from repro.kernels import resolve_backend
 

@@ -7,8 +7,11 @@ comparison fanned out by :mod:`repro.core.runner`)."""
 
 from __future__ import annotations
 
+import array
 import collections
+import collections.abc
 import dataclasses
+import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.des.engine import Simulator
@@ -332,14 +335,104 @@ class TransmissionEvent:
     size_bytes: int
 
 
+#: Array typecode per record field annotation (annotations are strings
+#: under postponed evaluation); other fields are stored in lists.
+_TYPECODES = {"int": "q", "float": "d"}
+
+#: The per-packet event kinds a collector stores as columns.
+_RECORD_KINDS = (
+    ("originated", OriginatedEvent),
+    ("delivered", DeliveredEvent),
+    ("transmissions", TransmissionEvent),
+)
+
+
+def _new_columns(record) -> tuple:
+    """One empty column per field of ``record``, in field order: a typed
+    :class:`array.array` for ``int``/``float`` fields, a list for the
+    rest (``Optional[int]`` flow ids, ``str`` packet kinds)."""
+    return tuple(
+        array.array(_TYPECODES[field.type]) if field.type in _TYPECODES
+        else []
+        for field in dataclasses.fields(record)
+    )
+
+
+class RecordView(collections.abc.Sequence):
+    """Read-only sequence of packet-event records stored as columns.
+
+    ``len``, integer indexing, slicing (which returns a list), iteration
+    and equality with a list of records work as on a list; each record
+    is built on demand, with the attribute values the recording call
+    saw.  Aggregations read whole columns through
+    :meth:`column` instead, and build no records at all.
+    """
+
+    __slots__ = ("_record", "_columns")
+
+    def __init__(self, record, columns: tuple) -> None:
+        self._record = record
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(
+                map(self._record, *(column[index] for column in self._columns))
+            )
+        return self._record(*(column[index] for column in self._columns))
+
+    def __iter__(self):
+        return map(self._record, *self._columns)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RecordView, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} {self._record.__name__} records>"
+
+    def column(self, name: str):
+        """The stored values of field ``name``, in recording order (an
+        ``array`` or a list; read it, do not modify it)."""
+        names = [field.name for field in dataclasses.fields(self._record)]
+        return self._columns[names.index(name)]
+
+    def compress(self, selectors: List[bool]) -> "RecordView":
+        """The records whose selector is true, as a view over copied
+        columns (no record objects are built)."""
+        columns = []
+        for column in self._columns:
+            kept = itertools.compress(column, selectors)
+            columns.append(
+                array.array(column.typecode, kept)
+                if isinstance(column, array.array) else list(kept)
+            )
+        return RecordView(self._record, tuple(columns))
+
+
 class MetricsCollector:
-    """Accumulates packet events; aggregation happens post-run."""
+    """Accumulates packet events; aggregation happens post-run.
+
+    The per-packet events (:attr:`originated`, :attr:`delivered`,
+    :attr:`transmissions`) are stored as one column per record field from
+    the first event on; the attributes are read-only
+    :class:`RecordView` sequences over those columns.  At the end of
+    :meth:`repro.core.simulation.CavenetSimulation.run` the collector is
+    :meth:`detach`-ed: it drops its simulator and holds plain data only,
+    so a pickled result carries no part of the finished network.
+    """
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
-        self.originated: List[OriginatedEvent] = []
-        self.delivered: List[DeliveredEvent] = []
-        self.transmissions: List[TransmissionEvent] = []
+        self._originated = _new_columns(OriginatedEvent)
+        self._delivered = _new_columns(DeliveredEvent)
+        self._transmissions = _new_columns(TransmissionEvent)
         self.drops: Dict[str, int] = collections.defaultdict(int)
         #: Fault-injection transitions, in simulation order (empty for a
         #: fault-free run; see :mod:`repro.faults`).
@@ -352,51 +445,81 @@ class MetricsCollector:
         #: :meth:`record_energy` at the end of a run (``None`` until then).
         self.energy: Optional[EnergyTelemetry] = None
 
+    def __setstate__(self, state: dict) -> None:
+        if "originated" in state:
+            # Pickled before the records became columns: the state holds
+            # the simulator and one list of record objects per kind.
+            for name, record in _RECORD_KINDS:
+                columns = _new_columns(record)
+                fields = [field.name for field in dataclasses.fields(record)]
+                for event in state.pop(name):
+                    for column, field in zip(columns, fields):
+                        column.append(getattr(event, field))
+                state["_" + name] = columns
+            state["_sim"] = state["_delivered_uids"] = None
+        self.__dict__.update(state)
+
+    def detach(self) -> None:
+        """Drop the simulator once the run is over; the collector keeps
+        its columns and snapshots and records nothing more."""
+        self._sim = None
+        self._delivered_uids = None
+
+    @property
+    def originated(self) -> RecordView:
+        """Data packets handed to the network, as
+        :class:`OriginatedEvent` records."""
+        return RecordView(OriginatedEvent, self._originated)
+
+    @property
+    def delivered(self) -> RecordView:
+        """First arrivals at the destination, as :class:`DeliveredEvent`
+        records."""
+        return RecordView(DeliveredEvent, self._delivered)
+
+    @property
+    def transmissions(self) -> RecordView:
+        """Packets handed to a MAC, as :class:`TransmissionEvent`
+        records."""
+        return RecordView(TransmissionEvent, self._transmissions)
+
     # -- recording hooks ----------------------------------------------------
 
     def data_originated(self, packet: Packet) -> None:
         """An application injected a data packet."""
-        self.originated.append(
-            OriginatedEvent(
-                uid=packet.uid,
-                flow_id=packet.flow_id,
-                src=packet.src,
-                dst=packet.dst,
-                time=self._sim.now,
-                size_bytes=packet.size_bytes,
-            )
-        )
+        uid, flow_id, src, dst, time, size_bytes = self._originated
+        uid.append(packet.uid)
+        flow_id.append(packet.flow_id)
+        src.append(packet.src)
+        dst.append(packet.dst)
+        time.append(self._sim.now)
+        size_bytes.append(packet.size_bytes)
 
     def data_delivered(self, packet: Packet, node: int = -1) -> None:
         """A data packet reached its destination (duplicates ignored)."""
         if packet.uid in self._delivered_uids:
             return
         self._delivered_uids.add(packet.uid)
-        self.delivered.append(
-            DeliveredEvent(
-                uid=packet.uid,
-                flow_id=packet.flow_id,
-                time=self._sim.now,
-                size_bytes=packet.size_bytes,
-                delay_s=self._sim.now - packet.created_at,
-                # packet.hops counts forwards; the final link makes one more.
-                hops=packet.hops + 1,
-                node=node,
-            )
-        )
+        uid, flow_id, time, size_bytes, delay_s, hops, where = self._delivered
+        now = self._sim.now
+        uid.append(packet.uid)
+        flow_id.append(packet.flow_id)
+        time.append(now)
+        size_bytes.append(packet.size_bytes)
+        delay_s.append(now - packet.created_at)
+        # packet.hops counts forwards; the final link makes one more.
+        hops.append(packet.hops + 1)
+        where.append(node)
 
     def transmission(self, packet: Packet, node: int, next_hop: int) -> None:
         """A packet (data or control) was handed to a MAC."""
-        self.transmissions.append(
-            TransmissionEvent(
-                uid=packet.uid,
-                kind=packet.kind,
-                node=node,
-                next_hop=next_hop,
-                time=self._sim.now,
-                size_bytes=packet.size_bytes,
-            )
-        )
+        uid, kind, where, hop, time, size_bytes = self._transmissions
+        uid.append(packet.uid)
+        kind.append(packet.kind)
+        where.append(node)
+        hop.append(next_hop)
+        time.append(self._sim.now)
+        size_bytes.append(packet.size_bytes)
 
     def record_channel(self, channel) -> ChannelTelemetry:
         """Snapshot the channel's telemetry counters (typically post-run).
@@ -465,10 +588,16 @@ class MetricsCollector:
         """Distinct data packets that reached their destinations."""
         return len(self.delivered)
 
-    def control_transmissions(self) -> List[TransmissionEvent]:
+    def control_transmissions(self) -> RecordView:
         """Transmission events for routing-control packets."""
-        return [t for t in self.transmissions if t.kind != "DATA"]
+        transmissions = self.transmissions
+        return transmissions.compress(
+            [kind != "DATA" for kind in transmissions.column("kind")]
+        )
 
-    def data_transmissions(self) -> List[TransmissionEvent]:
+    def data_transmissions(self) -> RecordView:
         """Per-hop transmission events for data packets."""
-        return [t for t in self.transmissions if t.kind == "DATA"]
+        transmissions = self.transmissions
+        return transmissions.compress(
+            [kind == "DATA" for kind in transmissions.column("kind")]
+        )

@@ -23,11 +23,14 @@ class DelayStats:
 
 
 def _delays(collector: MetricsCollector, flow_id: Optional[int]) -> np.ndarray:
+    delivered = collector.delivered
     return np.array(
         [
-            e.delay_s
-            for e in collector.delivered
-            if flow_id is None or e.flow_id == flow_id
+            delay
+            for flow, delay in zip(
+                delivered.column("flow_id"), delivered.column("delay_s")
+            )
+            if flow_id is None or flow == flow_id
         ]
     )
 

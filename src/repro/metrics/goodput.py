@@ -14,6 +14,16 @@ import numpy as np
 from repro.metrics.collector import MetricsCollector
 
 
+def _deliveries(collector: MetricsCollector):
+    """``(flow_id, time, size_bytes)`` of every delivery, in order."""
+    delivered = collector.delivered
+    return zip(
+        delivered.column("flow_id"),
+        delivered.column("time"),
+        delivered.column("size_bytes"),
+    )
+
+
 def goodput_series(
     collector: MetricsCollector,
     flow_id: Optional[int],
@@ -31,11 +41,11 @@ def goodput_series(
     num_bins = int(np.ceil(duration_s / bin_s))
     edges = bin_s * np.arange(num_bins + 1)
     bits = np.zeros(num_bins)
-    for event in collector.delivered:
-        if flow_id is not None and event.flow_id != flow_id:
+    for flow, time, size_bytes in _deliveries(collector):
+        if flow_id is not None and flow != flow_id:
             continue
-        index = min(int(event.time / bin_s), num_bins - 1)
-        bits[index] += event.size_bytes * 8
+        index = min(int(time / bin_s), num_bins - 1)
+        bits[index] += size_bytes * 8
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, bits / bin_s
 
@@ -50,9 +60,8 @@ def total_goodput_bps(
     if stop_s <= start_s:
         raise ValueError(f"need stop_s > start_s, got [{start_s}, {stop_s}]")
     bits = sum(
-        event.size_bytes * 8
-        for event in collector.delivered
-        if (flow_id is None or event.flow_id == flow_id)
-        and start_s <= event.time <= stop_s
+        size_bytes * 8
+        for flow, time, size_bytes in _deliveries(collector)
+        if (flow_id is None or flow == flow_id) and start_s <= time <= stop_s
     )
     return bits / (stop_s - start_s)

@@ -28,13 +28,13 @@ class ControlOverhead:
 def control_overhead(collector: MetricsCollector) -> ControlOverhead:
     """Total routing-control transmissions recorded during the run."""
     by_kind: Dict[str, int] = collections.defaultdict(int)
-    total_bytes = 0
     events = collector.control_transmissions()
-    for event in events:
-        by_kind[event.kind] += 1
-        total_bytes += event.size_bytes
+    for kind in events.column("kind"):
+        by_kind[kind] += 1
     return ControlOverhead(
-        packets=len(events), bytes=total_bytes, by_kind=dict(by_kind)
+        packets=len(events),
+        bytes=sum(events.column("size_bytes")),
+        by_kind=dict(by_kind),
     )
 
 

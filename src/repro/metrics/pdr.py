@@ -17,15 +17,15 @@ def packet_delivery_ratio(
     """
     sent = sum(
         1
-        for e in collector.originated
-        if flow_id is None or e.flow_id == flow_id
+        for flow in collector.originated.column("flow_id")
+        if flow_id is None or flow == flow_id
     )
     if sent == 0:
         return 0.0
     received = sum(
         1
-        for e in collector.delivered
-        if flow_id is None or e.flow_id == flow_id
+        for flow in collector.delivered.column("flow_id")
+        if flow_id is None or flow == flow_id
     )
     return received / sent
 
@@ -43,8 +43,9 @@ def pdr_by_flow(
     with an explicit 0.0 instead of silently vanishing from the dict,
     so fault runs cannot hide dead flows.
     """
-    seen = {e.flow_id for e in collector.originated if e.flow_id is not None}
-    seen |= {e.flow_id for e in collector.delivered if e.flow_id is not None}
+    seen = set(collector.originated.column("flow_id"))
+    seen |= set(collector.delivered.column("flow_id"))
+    seen.discard(None)
     if flows is not None:
         seen |= set(flows)
     return {flow: packet_delivery_ratio(collector, flow) for flow in sorted(seen)}

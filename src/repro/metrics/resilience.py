@@ -35,12 +35,13 @@ def pdr_timeline(
         raise ValueError(f"bin_s must be > 0, got {bin_s}")
     num_bins = max(1, int(math.ceil(sim_time_s / bin_s)))
     offered = [0] * num_bins
-    delivered_uids = {e.uid for e in collector.delivered}
+    delivered_uids = set(collector.delivered.column("uid"))
     got = [0] * num_bins
-    for event in collector.originated:
-        index = min(int(event.time / bin_s), num_bins - 1)
+    originated = collector.originated
+    for time, uid in zip(originated.column("time"), originated.column("uid")):
+        index = min(int(time / bin_s), num_bins - 1)
         offered[index] += 1
-        if event.uid in delivered_uids:
+        if uid in delivered_uids:
             got[index] += 1
     return [
         (
@@ -82,7 +83,7 @@ def recovery_times_s(collector: MetricsCollector) -> Dict[float, float]:
     recovery's simulation time (unique per event; a dict keyed by node
     would collapse repeated churn cycles).
     """
-    delivery_times = sorted(e.time for e in collector.delivered)
+    delivery_times = sorted(collector.delivered.column("time"))
     out: Dict[float, float] = {}
     for event in collector.fault_events:
         if event.kind != "node_up":

@@ -10,7 +10,7 @@ hearer).  The :class:`Radio` keeps cumulative TX/RX airtime counters;
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.des.engine import Simulator
 
@@ -36,10 +36,24 @@ class EnergyParams:
             raise ValueError("initial_energy_j must be > 0")
 
 
+class _AirtimeReading(NamedTuple):
+    """A radio's airtime counters, frozen by :meth:`EnergyMeter.detach`."""
+
+    airtime_tx_s: float
+    airtime_rx_s: float
+
+
+class _ClockReading(NamedTuple):
+    """A simulator's clock, frozen by :meth:`EnergyMeter.detach`."""
+
+    now: float
+
+
 class EnergyMeter:
     """Battery bookkeeping over one radio's airtime counters.
 
     Attach any time; consumption is measured from the attach instant.
+    :meth:`detach` freezes the readings at the end of a run.
     """
 
     def __init__(
@@ -54,6 +68,14 @@ class EnergyMeter:
         self._start_time = sim.now
         self._start_tx = radio.airtime_tx_s
         self._start_rx = radio.airtime_rx_s
+
+    def detach(self) -> None:
+        """Freeze the TX, RX and elapsed readings at this instant and drop
+        the live radio and simulator; every reading keeps its value."""
+        self._radio = _AirtimeReading(
+            self._radio.airtime_tx_s, self._radio.airtime_rx_s
+        )
+        self._sim = _ClockReading(self._sim.now)
 
     @property
     def tx_time_s(self) -> float:

@@ -3,7 +3,8 @@
 Any application traffic generator plugs into a run through two contracts:
 
 * the **source object** — this class: ``start()`` schedules the emission
-  pattern, ``stop()`` cancels it, ``packets_sent`` counts originations;
+  pattern, ``stop()`` cancels it, ``packets_sent`` counts originations,
+  ``detach()`` lets go of the finished run;
 * the **registry factory** — ``factory(node, dst, *, scenario, flow_id,
   rng) -> TrafficSource`` registered under the ``"traffic"`` namespace of
   :mod:`repro.core.registry`; ``Scenario.traffic`` selects it by name and
@@ -29,3 +30,13 @@ class TrafficSource(abc.ABC):
     @abc.abstractmethod
     def stop(self) -> None:
         """Cancel any pending emission."""
+
+    def detach(self) -> None:
+        """Drop the node, RNG stream and pending event once the run is
+        over (the built-in sources' ``_node``, ``_rng`` and ``_event``).
+
+        ``packets_sent`` and ``flow_id`` keep their values; a detached
+        source cannot be started again.  A source holding other live
+        objects overrides this to drop them too.
+        """
+        self._node = self._rng = self._event = None

@@ -50,6 +50,10 @@ class Sink:
         self.receptions.append(reception)
         self._by_flow[packet.flow_id].append(reception)
 
+    def detach(self) -> None:
+        """Drop the node once the run is over; the receptions stay."""
+        self._node = None
+
     def flow_receptions(self, flow_id: Optional[int]) -> List[Reception]:
         """Receptions of one flow, in arrival order."""
         return list(self._by_flow.get(flow_id, []))
