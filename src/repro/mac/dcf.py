@@ -81,6 +81,11 @@ class Mac80211:
     the profile's basic rate; response timeouts stay on ``params``
     (legacy basic rate), which is conservative — never shorter than
     the actual response airtime.
+
+    The duplicate-detection cache (the last 128 ``(sender, seq)`` keys of
+    unicast DATA frames addressed to this node, evicted FIFO) is
+    allocated by the first such frame: most vehicles on a highway
+    receive only broadcasts and never build one.
     """
 
     def __init__(
@@ -117,7 +122,7 @@ class Mac80211:
         self._nav_wakeup: Optional[Event] = None
         self._response_timer: Optional[Event] = None
         self._seq_counter = 0
-        self._dup_cache: Deque[Tuple[int, int]] = collections.deque(maxlen=128)
+        self._dup_cache: Optional[Deque[Tuple[int, int]]] = None
 
         self._on_receive: Callable[[Packet, int], None] = lambda p, h: None
         self._on_failure: Callable[[Packet, int], None] = lambda p, h: None
@@ -201,7 +206,7 @@ class Mac80211:
         self.backoff_slots = -1
         self.need_backoff = False
         self.nav_until = 0.0
-        self._dup_cache.clear()
+        self._dup_cache = None
         while True:
             head = self._queue.dequeue()
             if head is None:
@@ -336,10 +341,13 @@ class Mac80211:
                 frame.tx_addr,
             )
             key = (frame.tx_addr, frame.seq)
-            if key in self._dup_cache:
+            cache = self._dup_cache
+            if cache is None:
+                cache = self._dup_cache = collections.deque(maxlen=128)
+            elif key in cache:
                 self.stats.duplicates_suppressed += 1
                 return
-            self._dup_cache.append(key)
+            cache.append(key)
             self._on_receive(frame.packet, frame.tx_addr)
         elif frame.frame_type is FrameType.ACK:
             self._on_response(FrameType.ACK)

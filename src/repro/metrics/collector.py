@@ -347,7 +347,7 @@ _RECORD_KINDS = (
 )
 
 
-def _new_columns(record) -> tuple:
+def new_columns(record) -> tuple:
     """One empty column per field of ``record``, in field order: a typed
     :class:`array.array` for ``int``/``float`` fields, a list for the
     rest (``Optional[int]`` flow ids, ``str`` packet kinds)."""
@@ -430,9 +430,9 @@ class MetricsCollector:
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
-        self._originated = _new_columns(OriginatedEvent)
-        self._delivered = _new_columns(DeliveredEvent)
-        self._transmissions = _new_columns(TransmissionEvent)
+        self._originated = new_columns(OriginatedEvent)
+        self._delivered = new_columns(DeliveredEvent)
+        self._transmissions = new_columns(TransmissionEvent)
         self.drops: Dict[str, int] = collections.defaultdict(int)
         #: Fault-injection transitions, in simulation order (empty for a
         #: fault-free run; see :mod:`repro.faults`).
@@ -450,7 +450,7 @@ class MetricsCollector:
             # Pickled before the records became columns: the state holds
             # the simulator and one list of record objects per kind.
             for name, record in _RECORD_KINDS:
-                columns = _new_columns(record)
+                columns = new_columns(record)
                 fields = [field.name for field in dataclasses.fields(record)]
                 for event in state.pop(name):
                     for column, field in zip(columns, fields):

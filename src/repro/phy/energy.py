@@ -77,6 +77,13 @@ class EnergyMeter:
         )
         self._sim = _ClockReading(self._sim.now)
 
+    def __setstate__(self, state: dict) -> None:
+        # A pickled meter is a finished run's; one pickled before results
+        # were detached still carries the live radio and simulator, whose
+        # readings detaching freezes (it is a no-op on frozen readings).
+        self.__dict__.update(state)
+        self.detach()
+
     @property
     def tx_time_s(self) -> float:
         """Transmit airtime since attachment."""

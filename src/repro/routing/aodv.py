@@ -109,6 +109,10 @@ class AodvConfig:
         return self.ring_attempts + self.rreq_retries + 1
 
 
+#: The configuration every agent built without one shares (frozen).
+_DEFAULT_CONFIG = AodvConfig()
+
+
 @dataclasses.dataclass(frozen=True)
 class RreqHeader:
     """Route Request contents."""
@@ -161,7 +165,7 @@ class Aodv(RoutingProtocol):
         config: Optional[AodvConfig] = None,
     ) -> None:
         super().__init__(node, rng)
-        self.config = config if config is not None else AodvConfig()
+        self.config = config if config is not None else _DEFAULT_CONFIG
         self.table = RouteTable()
         self._seq = 0
         self._rreq_id = 0
@@ -240,7 +244,7 @@ class Aodv(RoutingProtocol):
             return
         self._refresh_active(packet.dst, entry.next_hop)
         self.table.refresh(packet.src, self.config.active_route_timeout_s, now)
-        entry.precursors.add(prev_hop)
+        entry.add_precursor(prev_hop)
         self.node.send_via(packet.copy_for_forwarding(), entry.next_hop)
 
     # -- control path -------------------------------------------------------------
@@ -371,7 +375,7 @@ class Aodv(RoutingProtocol):
         entry = self.table.lookup(header.dst, now)
         if entry is not None and entry.seq >= header.dst_seq:
             # Intermediate reply from a fresh-enough cached route.
-            entry.precursors.add(prev_hop)
+            entry.add_precursor(prev_hop)
             self._send_rrep(
                 orig=header.orig,
                 dst=header.dst,
@@ -423,7 +427,7 @@ class Aodv(RoutingProtocol):
             return
         forward_entry = self.table.get(header.dst)
         if forward_entry is not None:
-            forward_entry.precursors.add(reverse.next_hop)
+            forward_entry.add_precursor(reverse.next_hop)
         forwarded = dataclasses.replace(header, hops=header.hops + 1)
         self.send_control(RREP, forwarded, RREP_SIZE, reverse.next_hop)
 

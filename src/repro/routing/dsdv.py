@@ -31,6 +31,10 @@ class DsdvConfig:
     broadcast_jitter_s: float = 0.1
 
 
+#: The configuration every agent built without one shares (frozen).
+_DEFAULT_CONFIG = DsdvConfig()
+
+
 @dataclasses.dataclass(frozen=True)
 class UpdateHeader:
     """A full-table dump: (dst, seq, hops) triples."""
@@ -62,7 +66,7 @@ class Dsdv(RoutingProtocol):
         config: Optional[DsdvConfig] = None,
     ) -> None:
         super().__init__(node, rng)
-        self.config = config if config is not None else DsdvConfig()
+        self.config = config if config is not None else _DEFAULT_CONFIG
         self._seq = 0  # own sequence number (always even when advertised)
         self._routes: Dict[int, _DsdvRoute] = {}
         self._last_heard: Dict[int, float] = {}

@@ -55,6 +55,10 @@ class DymoConfig:
         return self.allowed_hello_loss * self.hello_interval_s
 
 
+#: The configuration every agent built without one shares (frozen).
+_DEFAULT_CONFIG = DymoConfig()
+
+
 @dataclasses.dataclass(frozen=True)
 class RoutingMessage:
     """Shared RREQ/RREP contents with the accumulated path.
@@ -105,7 +109,7 @@ class Dymo(RoutingProtocol):
         config: Optional[DymoConfig] = None,
     ) -> None:
         super().__init__(node, rng)
-        self.config = config if config is not None else DymoConfig()
+        self.config = config if config is not None else _DEFAULT_CONFIG
         self.table = RouteTable()
         self._seq = 0
         self._msg_id = 0

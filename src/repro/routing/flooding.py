@@ -27,6 +27,10 @@ class FloodingConfig:
     broadcast_jitter_s: float = 0.01
 
 
+#: The configuration every agent built without one shares (frozen).
+_DEFAULT_CONFIG = FloodingConfig()
+
+
 class Flooding(RoutingProtocol):
     """Broadcast-everything 'routing'."""
 
@@ -39,7 +43,7 @@ class Flooding(RoutingProtocol):
         config: Optional[FloodingConfig] = None,
     ) -> None:
         super().__init__(node, rng)
-        self.config = config if config is not None else FloodingConfig()
+        self.config = config if config is not None else _DEFAULT_CONFIG
         self._seen: Set[int] = set()
 
     def route_output(self, packet: Packet) -> None:

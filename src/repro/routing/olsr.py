@@ -78,6 +78,10 @@ class OlsrConfig:
         return self.hold_multiplier * self.tc_interval_s
 
 
+#: The configuration every agent built without one shares (frozen).
+_DEFAULT_CONFIG = OlsrConfig()
+
+
 @dataclasses.dataclass(frozen=True)
 class HelloHeader:
     """HELLO contents: who we hear, and (ETX mode) how well."""
@@ -141,7 +145,7 @@ class Olsr(RoutingProtocol):
         config: Optional[OlsrConfig] = None,
     ) -> None:
         super().__init__(node, rng)
-        self.config = config if config is not None else OlsrConfig()
+        self.config = config if config is not None else _DEFAULT_CONFIG
         self._links: Dict[int, _Link] = {}
         self._two_hop: Dict[Tuple[int, int], Tuple[float, float]] = {}
         self._mprs: Set[int] = set()

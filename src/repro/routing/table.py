@@ -23,7 +23,10 @@ class RouteEntry:
         expires_at: simulated time after which the entry is stale.
         valid: False after invalidation (kept for its sequence number).
         precursors: neighbours known to route *through us* towards ``dst``
-            (they must be told when the route breaks).
+            (they must be told when the route breaks); ``None`` until
+            :meth:`add_precursor` records the first one, so the many
+            entries nobody routes through (HELLO neighbour routes) hold
+            no set.
     """
 
     dst: int
@@ -32,7 +35,14 @@ class RouteEntry:
     seq: int
     expires_at: float
     valid: bool = True
-    precursors: Set[int] = dataclasses.field(default_factory=set)
+    precursors: Optional[Set[int]] = None
+
+    def add_precursor(self, neighbour: int) -> None:
+        """Record that ``neighbour`` routes to ``dst`` through us."""
+        if self.precursors is None:
+            self.precursors = {neighbour}
+        else:
+            self.precursors.add(neighbour)
 
 
 class RouteTable:

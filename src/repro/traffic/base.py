@@ -40,3 +40,9 @@ class TrafficSource(abc.ABC):
         objects overrides this to drop them too.
         """
         self._node = self._rng = self._event = None
+
+    def __setstate__(self, state: dict) -> None:
+        # A pickled source is a finished run's; one pickled before
+        # results were detached still carries its node, RNG and event.
+        self.__dict__.update(state)
+        self.detach()

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-from typing import DefaultDict, List, Optional
+from typing import List, Optional
 
+from repro.metrics.collector import RecordView, new_columns
 from repro.net.node import Node
 from repro.net.packet import Packet
 
@@ -27,41 +27,64 @@ class Sink:
 
     The global :class:`~repro.metrics.MetricsCollector` already records
     deliveries; the sink adds per-flow sequence visibility (loss patterns,
-    reordering) that flow-level debugging needs.
+    reordering) that flow-level debugging needs.  Deliveries are stored
+    as one column per :class:`Reception` field, as the collector stores
+    its records; :attr:`receptions` is a read-only view over them.
     """
 
     def __init__(self, node: Node) -> None:
         self._node = node
-        self.receptions: List[Reception] = []
-        self._by_flow: DefaultDict[Optional[int], List[Reception]] = (
-            collections.defaultdict(list)
-        )
+        self._columns = new_columns(Reception)
         node.add_sink(self._on_packet)
 
+    def __setstate__(self, state: dict) -> None:
+        # A pickled sink is a finished run's: it never holds its node.
+        if "receptions" in state:
+            # Pickled before the deliveries became columns, and before
+            # results were detached: one list of records plus a per-flow
+            # index of the same records, and the live node.
+            columns = new_columns(Reception)
+            for reception in state.pop("receptions"):
+                for column, value in zip(
+                    columns, dataclasses.astuple(reception)
+                ):
+                    column.append(value)
+            del state["_by_flow"]
+            state["_columns"] = columns
+        state["_node"] = None
+        self.__dict__.update(state)
+
     def _on_packet(self, packet: Packet, prev_hop: int) -> None:
-        reception = Reception(
-            flow_id=packet.flow_id,
-            seq=packet.seq,
-            time=self._node.sim.now,
-            size_bytes=packet.size_bytes,
-            delay_s=self._node.sim.now - packet.created_at,
-            hops=packet.hops,
-        )
-        self.receptions.append(reception)
-        self._by_flow[packet.flow_id].append(reception)
+        flow_id, seq, time, size_bytes, delay_s, hops = self._columns
+        now = self._node.sim.now
+        flow_id.append(packet.flow_id)
+        seq.append(packet.seq)
+        time.append(now)
+        size_bytes.append(packet.size_bytes)
+        delay_s.append(now - packet.created_at)
+        hops.append(packet.hops)
 
     def detach(self) -> None:
         """Drop the node once the run is over; the receptions stay."""
         self._node = None
 
+    @property
+    def receptions(self) -> RecordView:
+        """Every delivery, in arrival order, as :class:`Reception`
+        records."""
+        return RecordView(Reception, self._columns)
+
     def flow_receptions(self, flow_id: Optional[int]) -> List[Reception]:
         """Receptions of one flow, in arrival order."""
-        return list(self._by_flow.get(flow_id, []))
+        return [r for r in self.receptions if r.flow_id == flow_id]
 
     def received_seqs(self, flow_id: Optional[int]) -> List[int]:
         """Sequence numbers seen for a flow (duplicates included)."""
+        flows, seqs = self._columns[0], self._columns[1]
         return [
-            r.seq for r in self._by_flow.get(flow_id, []) if r.seq is not None
+            seq
+            for flow, seq in zip(flows, seqs)
+            if flow == flow_id and seq is not None
         ]
 
     def missing_seqs(self, flow_id: Optional[int], last_sent: int) -> List[int]:

@@ -89,12 +89,55 @@ def _faulted_grid_scenario() -> Scenario:
     )
 
 
-@pytest.mark.parametrize(
-    "scenario", [Scenario(), _faulted_grid_scenario()],
-    ids=["default", "grid-crash-obstacle-poisson"],
+# -- a journal written before results were detached -------------------------------
+
+#: ``tests/fixtures/result_journal.jsonl`` holds one ``compare_protocols``
+#: trial (key ``"AODV"``) of this scenario, journalled by the code before
+#: results were detached: its value pickles the whole finished network
+#: (collector with its simulator and record lists, live sinks, sources
+#: and meters, and the channel's kernel backend by name).
+OLD_RESULT_SCENARIO = Scenario(
+    num_nodes=6, road_length_m=1500.0, mobility_warmup_steps=20,
+    sim_time_s=3.0, senders=(1, 2), traffic_start_s=0.5,
+    traffic_stop_s=3.0, seed=7,
 )
-def test_result_pickles_without_live_objects(scenario):
-    result = CavenetSimulation(scenario).run()
+OLD_RESULT_JOURNAL = os.path.join(
+    os.path.dirname(__file__), "fixtures", "result_journal.jsonl"
+)
+
+
+def _resume_old_journal(tmp_path):
+    """The fixture's AODV result, resumed from a copy of its journal;
+    returns the campaign telemetry and the result."""
+    path = tmp_path / "old.jsonl"
+    shutil.copyfile(OLD_RESULT_JOURNAL, path)
+    telemetry = CampaignTelemetry()
+    comparison = compare_protocols(
+        OLD_RESULT_SCENARIO, ("AODV",), journal_path=str(path),
+        resume=True, telemetry=telemetry,
+    )
+    return telemetry, comparison.results["AODV"]
+
+
+def _run(scenario, tmp_path):
+    return CavenetSimulation(scenario).run()
+
+
+def _resumed(scenario, tmp_path):
+    return _resume_old_journal(tmp_path)[1]
+
+
+@pytest.mark.parametrize(
+    "scenario, produce",
+    [
+        (Scenario(), _run),
+        (_faulted_grid_scenario(), _run),
+        (OLD_RESULT_SCENARIO, _resumed),
+    ],
+    ids=["default", "grid-crash-obstacle-poisson", "old-journal"],
+)
+def test_result_pickles_without_live_objects(scenario, produce, tmp_path):
+    result = produce(scenario, tmp_path)
     clone = pickle.loads(_pickle_data_only(result))
     assert clone.pdr() == result.pdr()
     assert clone.total_energy_j() == result.total_energy_j()
@@ -235,23 +278,6 @@ def test_detached_meter_freezes_its_readings():
     assert pickle.loads(_pickle_data_only(meter)).consumed_j() == before[3]
 
 
-# -- a journal written before results were detached -------------------------------
-
-#: ``tests/fixtures/result_journal.jsonl`` holds one ``compare_protocols``
-#: trial (key ``"AODV"``) of this scenario, journalled by the code before
-#: results were detached: its value pickles the whole finished network
-#: (collector with its simulator and record lists, live sinks, sources
-#: and meters, and the channel's kernel backend by name).
-OLD_RESULT_SCENARIO = Scenario(
-    num_nodes=6, road_length_m=1500.0, mobility_warmup_steps=20,
-    sim_time_s=3.0, senders=(1, 2), traffic_start_s=0.5,
-    traffic_stop_s=3.0, seed=7,
-)
-OLD_RESULT_JOURNAL = os.path.join(
-    os.path.dirname(__file__), "fixtures", "result_journal.jsonl"
-)
-
-
 def _same(a, b) -> bool:
     """Equality that treats NaN as equal to NaN."""
     if isinstance(a, float) and isinstance(b, float):
@@ -267,16 +293,9 @@ def _without_uids(records):
 def test_journal_of_attached_results_resumes_with_identical_accessors(
     tmp_path,
 ):
-    path = tmp_path / "old.jsonl"
-    shutil.copyfile(OLD_RESULT_JOURNAL, path)
-    telemetry = CampaignTelemetry()
-    comparison = compare_protocols(
-        OLD_RESULT_SCENARIO, ("AODV",), journal_path=str(path),
-        resume=True, telemetry=telemetry,
-    )
+    telemetry, old = _resume_old_journal(tmp_path)
     assert telemetry.trials_resumed == 1
     assert telemetry.trials_completed == 0
-    old = comparison.results["AODV"]
     fresh = CavenetSimulation(OLD_RESULT_SCENARIO).run()
 
     assert old.collector._sim is None
@@ -291,9 +310,13 @@ def test_journal_of_attached_results_resumes_with_identical_accessors(
     assert old.total_energy_j() == fresh.total_energy_j()
     assert old.channel_telemetry == fresh.channel_telemetry
     for node_id, sink in fresh.sinks.items():
+        assert old.sinks[node_id].receptions == sink.receptions
         for flow_id in (1, 2):
             assert old.sinks[node_id].flow_receptions(flow_id) == (
                 sink.flow_receptions(flow_id)
+            )
+            assert old.sinks[node_id].received_seqs(flow_id) == (
+                sink.received_seqs(flow_id)
             )
     for kind in ("originated", "delivered", "transmissions"):
         assert _without_uids(getattr(old.collector, kind)) == (

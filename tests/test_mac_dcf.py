@@ -167,6 +167,31 @@ def test_duplicate_data_suppressed_but_acked():
     assert macs[1].stats.duplicates_suppressed == 1
 
 
+def test_duplicate_cache_is_built_on_demand_and_evicts_fifo():
+    sim, macs, uppers = _network([(0, 0), (150, 0)])
+    packet = _packet(0, 1)
+
+    def data(seq, to=1):
+        return Frame(
+            FrameType.DATA, 0, to, 540, duration_s=0.0, packet=packet,
+            seq=seq,
+        )
+
+    macs[1].on_frame_received(data(1, to=BROADCAST), 1e-9)
+    assert macs[1]._dup_cache is None  # broadcasts never build it
+    for seq in range(1, 130):  # one key more than the cache holds
+        macs[1].on_frame_received(data(seq), 1e-9)
+    macs[1].on_frame_received(data(129), 1e-9)  # still cached
+    macs[1].on_frame_received(data(1), 1e-9)  # evicted first
+    assert len(uppers[1].received) == 1 + 129 + 1
+    assert macs[1].stats.duplicates_suppressed == 1
+    macs[1].fail()
+    assert macs[1]._dup_cache is None
+    macs[1].recover()
+    macs[1].on_frame_received(data(129), 1e-9)  # forgotten at the crash
+    assert len(uppers[1].received) == 1 + 129 + 1 + 1
+
+
 def test_flush_next_hop_drops_queued():
     sim, macs, _ = _network([(0, 0), (150, 0), (150, 150)])
     for _ in range(5):

@@ -1,12 +1,16 @@
 """Traffic-source (CBR, Poisson on/off) and sink tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.des.engine import Simulator
+from repro.net.packet import Packet
 from repro.traffic.base import TrafficSource
 from repro.traffic.cbr import CbrSource
 from repro.traffic.poisson import PoissonOnOffSource
-from repro.traffic.sink import Sink
+from repro.traffic.sink import Reception, Sink
 
 from helpers import TestNetwork, chain_coords
 
@@ -108,6 +112,52 @@ def test_sink_missing_seqs_detects_loss():
     # No traffic: everything "missing".
     assert sink.missing_seqs(7, 3) == [1, 2, 3]
     assert sink.flow_receptions(7) == []
+
+
+class _SinkNode:
+    """Just what a sink reads of its node: the clock and the hook."""
+
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        self.deliver = None
+
+    def add_sink(self, callback) -> None:
+        self.deliver = callback
+
+
+def test_sink_columns_answer_like_the_record_lists():
+    """Mixed flows, a flow-less packet, a seq-less packet and a
+    duplicate: every accessor equals the record-at-a-time reference."""
+    node = _SinkNode()
+    sink = Sink(node)
+    arrivals = [  # (time, flow_id, seq, size, created_at, hops)
+        (1.0, 1, 1, 512, 0.5, 2), (1.5, 2, 1, 256, 1.0, 0),
+        (2.0, 1, 3, 512, 1.25, 1), (2.5, None, None, 64, 2.0, 0),
+        (3.0, 1, 3, 512, 1.25, 3), (3.5, 2, None, 256, 3.0, 1),
+    ]
+    reference = []
+    for time, flow_id, seq, size, created_at, hops in arrivals:
+        packet = Packet("DATA", 0, 1, size, created_at, flow_id=flow_id,
+                        seq=seq)
+        packet.hops = hops
+        node.sim.schedule_at(time, node.deliver, packet, 0)
+        reference.append(
+            Reception(flow_id, seq, time, size, time - created_at, hops)
+        )
+    node.sim.run()
+    sink.detach()
+    clone = pickle.loads(pickle.dumps(sink))
+    for view in (sink, clone):
+        assert view.receptions == reference
+        assert list(view.receptions) == reference
+        for flow_id in (1, 2, None, 9):
+            got = [r for r in reference if r.flow_id == flow_id]
+            assert view.flow_receptions(flow_id) == got
+            assert view.received_seqs(flow_id) == [
+                r.seq for r in got if r.seq is not None
+            ]
+        assert view.missing_seqs(1, 4) == [2, 4]
+    assert clone._node is None
 
 
 # -- Poisson on/off source ----------------------------------------------------
