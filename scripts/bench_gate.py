@@ -17,7 +17,7 @@ runners is real, which is why the hard floor sits at -20% with a
 
 ``--floor METRIC=VALUE`` (repeatable) additionally enforces *absolute*
 floors on the current artifact — e.g.
-``--floor end_to_end.n3000.speedup=5.0`` holds the compiled-kernel
+``--floor end_to_end.n3000.speedup=5.0`` holds the python-vs-auto kernel
 end-to-end speedup promise regardless of what the baseline file says.
 
 Exit codes follow the CLI's convention: a perf regression exits 1; a

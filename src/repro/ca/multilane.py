@@ -180,7 +180,7 @@ class MultiLaneRoad:
         """Flat list of per-vehicle records across all lanes."""
         result: List[VehicleState] = []
         for k, lane in enumerate(self._lanes):
-            gaps = _cyclic_gaps(lane.positions, self._num_cells)
+            gaps = self._kernels.cyclic_gaps(lane.positions, self._num_cells)
             for i in range(len(lane.positions)):
                 result.append(
                     VehicleState(
@@ -377,14 +377,3 @@ class MultiLaneRoad:
                 lane.ids = lane.ids[order]
                 lane.wraps = lane.wraps[order]
                 lane.shifted = lane.shifted[order]
-
-
-def _cyclic_gaps(positions: np.ndarray, num_cells: int) -> np.ndarray:
-    """Gap to the vehicle ahead on a cyclic lane with sorted positions."""
-    n = len(positions)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if n == 1:
-        return np.array([num_cells - 1], dtype=np.int64)
-    leader = np.roll(positions, -1)
-    return (leader - positions - 1) % num_cells

@@ -669,8 +669,8 @@ def _profiled_run(scenario, profile_out: Optional[str]):
 
     The table goes to stderr so the run's normal stdout summary stays
     machine-parseable; the raw pstats dump (when requested) is the
-    input for flame-graph tools.  This is how the compiled-kernel
-    targets were chosen — see docs/API.md "Compiled kernels".
+    input for flame-graph tools.  This is how the kernel targets were
+    chosen — see docs/API.md "Kernel backends".
     """
     import cProfile
     import pstats

@@ -110,11 +110,11 @@ class Scenario:
             sense would silently drop detectable links, so that is a
             :class:`ConfigError`.
         kernels: kernel backend, a registered ``kernels`` component:
-            ``"auto"`` (the default — best backend available on this
-            machine), ``"python"`` (explicit-loop reference),
-            ``"vector"`` (numpy) or ``"cjit"`` (generated C; warns once
-            and falls back to ``vector`` without a compiler).
-            ``"numba"`` is still accepted and resolves like ``"auto"``.
+            ``"auto"`` (the default — the numpy ``"vector"`` backend on
+            every machine), ``"python"`` (explicit-loop reference) or
+            ``"vector"``.  The removed ``"cjit"`` and ``"numba"`` are
+            still accepted (saved scenarios load with the same
+            fingerprint); they warn once and resolve like ``"auto"``.
             Every backend computes bit-identical results — the choice
             affects wall clock only, never the trajectory.
         backend: campaign execution backend, a registered ``backend``

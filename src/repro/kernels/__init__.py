@@ -9,41 +9,33 @@ rules that make that guarantee hold).
 Built-in backends:
 
 ``auto`` (the scenario default)
-    Best available: ``$REPRO_KERNELS`` override if set, else generated
-    C (``cjit``), else the numpy ``vector`` backend.  The probing is
-    silent — ``auto`` means "whatever runs here".
+    The numpy ``vector`` backend, on every machine.
 ``python``
     The explicit-loop reference (ground truth for identity tests).
 ``vector``
-    The numpy expressions the components ran inline before this
-    package existed; always available.
-``cjit``
-    A generated-C translation compiled with the system C compiler;
-    warns once and falls back to ``vector`` when no compiler exists.
-``numba``
-    A removed JIT backend, still accepted so saved scenarios load: it
-    warns once and resolves like ``auto`` (results are identical on
-    every backend by contract).
+    In-place numpy array kernels; needs nothing beyond numpy.
+``cjit``, ``numba``
+    Removed compiled backends, still accepted so saved scenarios,
+    campaign fingerprints and pickled models load: each warns once per
+    process and resolves like ``auto`` (results are identical on every
+    backend by contract).
 
-Backend instances are process-local singletons (their scratch buffers
-make them stateful but cheap to share; runs are single-threaded), so
-``resolve_backend("auto")`` probes compilers at most once per process.
+Backend instances are process-local singletons (cheap to share; runs
+are single-threaded), cached per canonical name.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from typing import Dict, Set
 
 from repro.core.registry import register
 from repro.core import registry as _registry
-from repro.kernels.base import KernelBackend, KernelUnavailable
+from repro.kernels.base import KernelBackend
 from repro.kernels.vector import VectorBackend
 
 __all__ = [
     "KernelBackend",
-    "KernelUnavailable",
     "VectorBackend",
     "resolve_backend",
 ]
@@ -86,27 +78,14 @@ def make_numba(scenario=None) -> KernelBackend:
 
 @register("kernels", "cjit")
 def make_cjit(scenario=None) -> KernelBackend:
-    """Generated-C kernels; vector fallback when no compiler exists."""
-    from repro.kernels.cjit import CjitBackend
-
-    try:
-        return CjitBackend()
-    except KernelUnavailable as exc:
-        return _fallback("cjit", "vector", str(exc))
+    """The removed generated-C backend's name: warns once, resolves as auto."""
+    return _fallback("cjit", "auto", "the cjit backend was removed")
 
 
 @register("kernels", "auto")
 def make_auto(scenario=None) -> KernelBackend:
-    """Best backend that runs here (env override, cjit, vector)."""
-    override = os.environ.get("REPRO_KERNELS")
-    if override:
-        return resolve_backend(override)
-    try:
-        from repro.kernels.cjit import CjitBackend
-
-        return CjitBackend()
-    except KernelUnavailable:
-        return VectorBackend()
+    """The default backend: numpy ``vector`` on every machine."""
+    return VectorBackend()
 
 
 def resolve_backend(spec="auto") -> KernelBackend:
@@ -117,7 +96,7 @@ def resolve_backend(spec="auto") -> KernelBackend:
     name — resolved case-insensitively through the ``kernels``
     namespace, so registered third-party backends work anywhere a
     built-in name does.  Instances are cached per canonical name;
-    unavailable compiled backends warn once and fall back.
+    removed backend names warn once and resolve like ``auto``.
     """
     if isinstance(spec, KernelBackend):
         return spec

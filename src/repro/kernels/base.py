@@ -5,22 +5,20 @@ update, the cyclic gap sweep and the link-cache receiver filter —
 behind a fixed method surface.  Components (``NagelSchreckenberg``,
 ``MultiLaneRoad``, ``Channel``) take a backend (or its
 registry name) at construction and call only these methods, so
-swapping ``kernels="python"`` for ``kernels="vector"`` or
-``kernels="cjit"`` changes *where* the loops execute and nothing about
-what they compute: every backend is bit-identical by contract, and the
-default-scenario goldens plus the grid-vs-dense identity tests run
-under multiple backends to enforce it.
+swapping ``kernels="python"`` for ``kernels="vector"`` changes *how*
+the loops execute and nothing about what they compute: every backend
+is bit-identical by contract, and the default-scenario goldens plus
+the grid-vs-dense identity tests run under both built-in backends to
+enforce it.
 
 :class:`KernelBackend` doubles as the ``"python"`` backend: its
 methods wrap the reference loops of :mod:`repro.kernels.pyref`
-directly.  Subclasses
-override whichever methods they can execute faster —
-:class:`~repro.kernels.vector.VectorBackend` with the numpy
-expressions the components used before this package existed, the
-compiled backend with machine code generated from the pyref loops.
+directly.  Subclasses override whichever methods they can execute
+faster — :class:`~repro.kernels.vector.VectorBackend` with in-place
+numpy array operations.
 
 Third-party backends subclass this class and register a factory under
-the ``kernels`` namespace; see docs/API.md "Compiled kernels".
+the ``kernels`` namespace; see docs/API.md "Kernel backends".
 """
 
 from __future__ import annotations
@@ -33,11 +31,10 @@ from repro.kernels import pyref
 def _restore_backend(name: str) -> "KernelBackend":
     """Unpickle hook: re-resolve a backend by registry name.
 
-    Backends hold process-local resources (ctypes handles) that cannot
-    cross a pickle boundary, so journals and
-    copies serialise only the name and rebuild on load — falling back
-    (with the usual one-time warning) if the named backend is
-    unavailable on the restoring machine.  Simulation results are
+    Backends are process-local singletons, so journals and copies
+    serialise only the name and rebuild on load — a removed backend's
+    name (``cjit``, ``numba``) resolves like ``auto`` with the usual
+    one-time warning.  Simulation results are
     detached and hold no backend, but pickled CA models do, and so do
     results in journals written before results were detached (their
     channel's backend, restored through this hook).
@@ -47,28 +44,17 @@ def _restore_backend(name: str) -> "KernelBackend":
     return resolve_backend(name)
 
 
-class KernelUnavailable(RuntimeError):
-    """A backend cannot run here (no C compiler).
-
-    Raised by backend constructors; :func:`repro.kernels.resolve_backend`
-    catches it, warns once, and falls back to an always-available
-    backend — a machine without a C compiler still runs every
-    scenario, just slower.
-    """
-
-
 class KernelBackend:
     """Pure-Python reference backend (``kernels="python"``).
 
-    The ground truth the compiled backends are verified against.  All
-    methods operate on the caller's preallocated numpy arrays; scratch
-    buffers are cached per backend instance (runs are single-threaded
-    per process, and backend instances are process-local singletons).
+    The ground truth every other backend is verified against.  All
+    methods operate on the caller's preallocated numpy arrays.
     """
 
     #: Canonical registry name of this backend.
     name = "python"
-    #: Whether the hot loops run as machine code.
+    #: Whether the hot loops run as compiled machine code (no built-in
+    #: backend does; third-party backends may).
     compiled = False
 
     def __reduce__(self):

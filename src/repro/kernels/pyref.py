@@ -1,17 +1,14 @@
 """Pure-Python reference kernels: the bit-identity ground truth.
 
 Every function here is the explicit-loop statement of one hot inner
-loop — the NaSch update, cyclic gaps, the link-cache receiver filter.
-They are written in a subset with a line-for-line C translation (see
-:mod:`repro.kernels.cjit`): plain
-``for`` loops over preallocated int64/float64/bool arrays, no Python
-containers, no allocation, results returned as counts or indices.  That
-single restriction is what lets the compiled backend be generated
-*from* these functions (the C source mirrors them statement for
-statement) and then be proven bit-identical against them.
+loop — the NaSch update, cyclic gaps, the link-cache receiver filter:
+plain ``for`` loops over preallocated int64/float64/bool arrays, no
+Python containers, no allocation, results returned as counts or
+indices.  Each one is the specification a faster backend is proven
+bit-identical against (``tests/test_kernels.py``).
 
-Bit-identity rules the kernels obey (see docs/API.md "Compiled
-kernels"):
+Bit-identity rules the kernels obey (see docs/API.md "Kernel
+backends"):
 
 * **No RNG inside a kernel.**  Randomness (dawdle draws) is drawn by
   the caller from the owning component's generator in the documented
@@ -21,8 +18,8 @@ kernels"):
   received powers come in as arrays computed by the shared numpy code;
   kernels only do integer state evolution, IEEE +,-,*,/ and
   comparisons — operations that are exact (or correctly rounded) on
-  every backend, so results match bit for bit across python, numpy and
-  generated C.
+  every backend, so results match bit for bit across the python loops
+  and numpy.
 * **First-index tie-breaking.**  Where the vectorized code reports
   ``argmax`` of a violation mask, kernels report the first offending
   index; output index lists preserve input order.

@@ -1,11 +1,12 @@
-"""Vectorized (numpy) kernel backend: the always-available fast path.
+"""Vectorized (numpy) kernel backend: what ``auto`` runs everywhere.
 
-These are the exact numpy expressions the components executed inline
-before the kernels package existed — ``np.roll``-based gaps, masked
-``np.where`` dawdling, masked receiver filtering — so the
-``"vector"`` backend is bit-identical to the historical behaviour *by
-construction* (same operations on the same operands), and serves as
-the fallback when no compiled backend can be built.
+Every kernel is whole-array numpy over the caller's buffers — the NaSch
+step computes gaps by slice subtraction and updates ``vel``/``pos`` with
+``out=`` ufuncs, one violation mask and a masked in-place wrap —
+computing exactly the integer results of the
+reference loops in :mod:`repro.kernels.pyref` (same operands, exact
+integer and IEEE comparison arithmetic), so the backend is
+bit-identical to ``kernels="python"``.
 """
 
 from __future__ import annotations
@@ -16,33 +17,46 @@ from repro.kernels.base import KernelBackend
 
 
 class VectorBackend(KernelBackend):
-    """Numpy array kernels (``kernels="vector"``)."""
+    """Numpy array kernels (``kernels="vector"``, what ``auto`` runs)."""
 
     name = "vector"
-    compiled = False
 
     # -- CA ------------------------------------------------------------------
 
     def nasch_step(self, pos, vel, gaps_out, wrapped_out, draws,
                    use_draws, p, v_max, num_cells) -> int:
         n = len(pos)
+        # Gap to the leader in ring order.  Positions are rotated, not
+        # sorted, so at most one difference is negative; one masked add
+        # folds it onto the ring (the floored modulo, for cells in
+        # [0, num_cells)).
         if n == 1:
-            gaps = np.array([num_cells - 1], dtype=np.int64)
+            gaps_out[0] = num_cells - 1
         else:
-            leader = np.roll(pos, -1)
-            gaps = (leader - pos - 1) % num_cells
-        gaps_out[:] = gaps
-        new_vel = np.minimum(vel + 1, v_max)
-        new_vel = np.minimum(new_vel, gaps)
+            np.subtract(pos[1:], pos[:-1], out=gaps_out[:-1])
+            gaps_out[-1] = pos[0] - pos[-1]
+            gaps_out -= 1
+            np.add(gaps_out, num_cells, out=gaps_out, where=gaps_out < 0)
+        # Accelerate, brake to the gap, dawdle.  Dawdling is an unmasked
+        # bool subtraction; only dawdlers pushed below zero clamp back to
+        # it (a non-dawdler's negative velocity is an invariant
+        # violation, reported below).
+        np.add(vel, 1, out=vel)
+        np.minimum(vel, v_max, out=vel)
+        np.minimum(vel, gaps_out, out=vel)
         if use_draws:
             dawdle = draws < p
-            new_vel = np.where(dawdle, np.maximum(new_vel - 1, 0), new_vel)
-        vel[:] = new_vel
-        if np.any(new_vel > gaps) or np.any(new_vel < 0):
-            return int(np.argmax((new_vel > gaps) | (new_vel < 0)))
-        new_pos = pos + new_vel
-        wrapped_out[:] = new_pos >= num_cells
-        pos[:] = new_pos % num_cells
+            np.subtract(vel, dawdle, out=vel)
+            below = vel < 0
+            if below.any():
+                np.maximum(vel, 0, out=vel, where=below & dawdle)
+        bad = (vel > gaps_out) | (vel < 0)
+        if bad.any():
+            return int(np.argmax(bad))
+        # Move; new_vel <= gap < num_cells, so one subtraction wraps.
+        np.add(pos, vel, out=pos)
+        np.greater_equal(pos, num_cells, out=wrapped_out)
+        np.subtract(pos, num_cells, out=pos, where=wrapped_out)
         return -1
 
     def cyclic_gaps(self, pos, num_cells) -> np.ndarray:

@@ -45,6 +45,11 @@ class RngStreams:
         """
         if name not in self._streams:
             entropy = [self._seed] + [ord(c) for c in name]
+            if 0 <= self._seed < 2**32:
+                # One uint32 word per entry either way (code points are
+                # < 2**21), so SeedSequence pools the same words; the
+                # array skips numpy's per-element coercion of a list.
+                entropy = np.array(entropy, dtype=np.uint32)
             self._streams[name] = np.random.default_rng(
                 np.random.SeedSequence(entropy)
             )

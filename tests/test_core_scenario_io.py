@@ -88,8 +88,8 @@ scenario_dicts = st.fixed_dictionaries(
         "spatial": st.sampled_from(["dense", "grid", "GRID", "Dense"]),
         "cull_radius_m": st.sampled_from([None, 550.0, 600.0, 1250.0]),
         # Kernel backends: any spelling normalizes; every name is valid
-        # on every machine (unavailable toolchains fall back at build
-        # time, not at configuration time).
+        # on every machine (removed backends' names resolve like auto
+        # at build time, not at configuration time).
         "kernels": st.sampled_from(
             ["auto", "python", "vector", "numba", "cjit", "AUTO", "Python"]
         ),

@@ -7,9 +7,10 @@ through each method, compared elementwise against the pure-Python
 reference; grid link-cache rows against per-link reference loops) and
 per-model (full NaSch / multilane trajectories under a shared seed).
 Around the identity core sit the plumbing tests: the removed ``numba``
-name warning once and resolving like ``auto``, case-insensitive
-registry resolution, singleton caching, the ``REPRO_KERNELS`` override,
-and pickling backends by name across a journal boundary.
+and ``cjit`` names warning once and resolving like ``auto`` (from a
+scenario file, a CA ``state_dict`` and a pickle too), case-insensitive
+registry resolution, singleton caching, and pickling backends by name
+across a journal boundary.
 """
 
 import dataclasses
@@ -35,29 +36,18 @@ from repro.phy.radio import Radio
 from repro.phy.spatial import UniformGridIndex
 
 
-def _distinct_backends():
-    """One instance per distinct backend importable on this machine.
-
-    ``cjit`` may silently resolve to its ``vector`` fallback where no C
-    compiler exists; deduplicating by resolved name keeps the identity
-    sweep meaningful either way.
-    """
-    seen = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for name in ("python", "vector", "cjit", "auto"):
-            backend = resolve_backend(name)
-            seen[backend.name] = backend
-    return sorted(seen.values(), key=lambda b: b.name)
-
-
-BACKENDS = _distinct_backends()
+#: The built-in backends, plus the removed ``cjit`` name: it resolves
+#: like ``auto``, and a saved artifact naming it must still compute
+#: exactly what the reference does.
+BACKEND_NAMES = ("python", "vector", "cjit")
 REFERENCE = resolve_backend("python")
 
 
-@pytest.fixture(params=BACKENDS, ids=lambda b: b.name)
+@pytest.fixture(params=BACKEND_NAMES)
 def backend(request):
-    return request.param
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return resolve_backend(request.param)
 
 
 # -- per-kernel randomized equivalence ----------------------------------------
@@ -262,32 +252,97 @@ def test_multilane_trajectory_identical_across_backends(backend):
 # -- resolution, fallback, caching --------------------------------------------
 
 
+#: Names of removed backends that saved artifacts may still carry.
+REMOVED_NAMES = ("numba", "cjit")
+
+
 @pytest.fixture
-def no_numba(monkeypatch):
-    """Clear the backend caches so the ``numba`` name resolves (and
-    warns) afresh."""
+def fresh_backends(monkeypatch):
+    """Clear the backend caches so removed names resolve (and warn)
+    afresh."""
     monkeypatch.setattr(kernels_pkg, "_BACKENDS", {})
     monkeypatch.setattr(kernels_pkg, "_WARNED", set())
     yield
 
 
-def test_missing_numba_warns_once_and_falls_back(no_numba):
-    """The numba backend was removed; its name stays accepted (saved
-    scenarios load) and resolves like ``auto``."""
-    with pytest.warns(RuntimeWarning, match="falling back.*'auto'"):
-        backend = resolve_backend("numba")
-    assert backend is resolve_backend("auto")
-    # Second resolution: cached, silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        again = resolve_backend("numba")
-    assert again is backend
+def test_missing_numba_warns_once_and_falls_back(fresh_backends):
+    """Removed backends' names stay accepted (saved scenarios load) and
+    resolve like ``auto``."""
+    for name in REMOVED_NAMES:
+        with pytest.warns(RuntimeWarning, match=f"'{name}'.*falling back.*'auto'"):
+            backend = resolve_backend(name)
+        assert backend is resolve_backend("auto")
+        # Second resolution: cached, silent.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = resolve_backend(name)
+        assert again is backend
 
 
-def test_missing_numba_fallback_is_bit_identical(no_numba):
-    with pytest.warns(RuntimeWarning):
-        fallen = resolve_backend("numba")
-    assert _nasch_trajectory(fallen) == _nasch_trajectory("python")
+def test_missing_numba_fallback_is_bit_identical(fresh_backends):
+    for name in REMOVED_NAMES:
+        with pytest.warns(RuntimeWarning):
+            fallen = resolve_backend(name)
+        assert _nasch_trajectory(fallen) == _nasch_trajectory("python")
+
+
+def test_auto_is_vector():
+    assert isinstance(resolve_backend("auto"), VectorBackend)
+    assert resolve_backend("auto").name == "vector"
+
+
+def test_removed_cjit_state_dict_loads(fresh_backends):
+    """A CA checkpoint written under ``kernels="cjit"`` restores onto
+    ``auto`` and continues the same trajectory."""
+    model = NagelSchreckenberg(
+        num_cells=80, num_vehicles=20, p=0.3,
+        rng=np.random.default_rng(5), kernels="python",
+    )
+    model.step()
+    state = dict(model.state_dict(), kernels="cjit")
+    with pytest.warns(RuntimeWarning, match="'cjit'"):
+        restored = NagelSchreckenberg.from_state(state)
+    assert restored.kernels is resolve_backend("auto")
+    for _ in range(20):
+        model.step()
+        restored.step()
+    assert restored.positions.tolist() == model.positions.tolist()
+    assert restored.velocities.tolist() == model.velocities.tolist()
+
+
+def test_removed_cjit_scenario_file_keeps_its_fingerprint(tmp_path):
+    """A saved ``kernels="cjit"`` scenario loads unchanged, so journals
+    fingerprinted from it still resume."""
+    from repro.core.config import Scenario
+    from repro.core.journal import campaign_fingerprint
+
+    scenario = Scenario(kernels="cjit")
+    path = str(tmp_path / "cjit.json")
+    scenario.save(path)
+    loaded = Scenario.load(path)
+    assert loaded.kernels == "cjit"
+    assert campaign_fingerprint(s=loaded.to_dict()) == campaign_fingerprint(
+        s=scenario.to_dict()
+    )
+
+
+class _PickledCjit:
+    """Stands in for a backend pickled before ``cjit`` was removed."""
+
+    def __reduce__(self):
+        from repro.kernels.base import _restore_backend
+
+        return (_restore_backend, ("cjit",))
+
+
+def test_removed_cjit_pickle_loads_with_one_warning(fresh_backends):
+    payload = pickle.dumps(_PickledCjit())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = pickle.loads(payload)
+        second = pickle.loads(payload)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert first is second is resolve_backend("auto")
 
 
 def test_resolve_backend_normalizes_case_and_caches():
@@ -298,13 +353,6 @@ def test_resolve_backend_normalizes_case_and_caches():
 def test_resolve_backend_passes_instances_through():
     mine = VectorBackend()
     assert resolve_backend(mine) is mine
-
-
-def test_auto_honors_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNELS", "vector")
-    monkeypatch.setattr(kernels_pkg, "_BACKENDS", {})
-    monkeypatch.setattr(kernels_pkg, "_WARNED", set())
-    assert resolve_backend("auto").name == "vector"
 
 
 def test_unknown_backend_name_rejected():

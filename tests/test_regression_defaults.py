@@ -27,9 +27,8 @@ GOLDEN = {
 @pytest.mark.parametrize("kernels", ["python", "auto"])
 def test_default_scenario_is_bit_identical(protocol, kernels):
     """Every kernel backend must land on the same goldens: ``python`` is
-    the explicit-loop reference, ``auto`` is the best backend available
-    on this machine (vector, cjit or numba) — the pre-kernel numbers
-    must survive both."""
+    the explicit-loop reference, ``auto`` the numpy ``vector`` backend
+    every machine runs — the pre-kernel numbers must survive both."""
     scenario = Scenario(protocol=protocol, kernels=kernels)
     result = CavenetSimulation(scenario).run()
     observed = (

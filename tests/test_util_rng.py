@@ -1,6 +1,7 @@
 """Random-stream determinism and independence tests."""
 
 import numpy as np
+import pytest
 
 from repro.util.rng import RngStreams
 
@@ -51,3 +52,25 @@ def test_spawn_children_differ():
 
 def test_seed_property():
     assert RngStreams(42).seed == 42
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 11, 2**31 - 1, 2**32 - 1, 2**32, 2**40]
+)
+@pytest.mark.parametrize(
+    "name", ["mac-0", "routing-2999", "mobility", "fault-0", "véhicule-ü"]
+)
+def test_stream_state_matches_list_seeded_sequence(seed, name):
+    """Streams are seeded from ``[seed] + code points``: whichever form
+    the entropy takes internally, every state (hence every draw) is the
+    one the plain list gives ``SeedSequence``."""
+    expected = np.random.default_rng(
+        np.random.SeedSequence([seed] + [ord(c) for c in name])
+    )
+    observed = RngStreams(seed).stream(name)
+    assert observed.bit_generator.state == expected.bit_generator.state
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError):
+        RngStreams(-1).stream("mac-0")
