@@ -8,19 +8,20 @@ campaign run serially and undisturbed:
 
 * ``sigkill``, ``hang``, ``corrupt`` — a worker SIGKILLed after
   computing, a worker hanging past ``trial_timeout_s``, a result payload
-  that explodes while unpickling; on the process pool and on both queue
-  backends (``local-supervised``, ``dir-queue``);
+  that explodes while unpickling; on both queue backends
+  (``local-supervised``, ``dir-queue``);
 * ``mute`` — a worker alive but silent (no heartbeats) is caught after
   one lease TTL; ``contention`` — a foreign claim is waited out and taken
-  over, the trial runs exactly once (queue backends);
+  over, the trial runs exactly once;
 * ``stale-fence`` — a fenced-out worker's late commit is rejected with
   evidence, the rightful holder's commit lands;
 * ``scheduler-kill`` — a ``repro serve`` scheduler SIGKILLed mid-job is
   restarted and finishes from the spool and journal alone;
 * ``read-only`` — a queue dir that stops being writable degrades the
-  campaign down the ladder (``dir-queue → local-process``);
+  campaign down the ladder (a shared ``dir-queue`` to a private queue,
+  a private queue to ``local-serial``);
 * ``torn-journal`` — a journalled sweep killed mid-flight, its last line
-  torn, resumes; ``journalled-failure`` — a trial killed on every
+  torn, resumes; ``journalled-failure`` — a trial raising on every
   attempt is journalled as failed and re-run on resume;
 * ``compaction`` — a journal with reclaims and a stale lease is
   compacted and still resumes every trial.
@@ -84,7 +85,6 @@ BASE = Scenario(
 TRIALS = 5
 SWEEP = dict(base=BASE, field="num_nodes", values=[10, 12], trials=2)
 QUEUES = ("local-supervised", "dir-queue")
-EVERY_BACKEND = ("local-process",) + QUEUES
 #: A leg still running after this long is wedged, not slow.
 LEG_TIMEOUT_S = 120
 
@@ -166,12 +166,9 @@ def leg_sigkill(ctx, backend):
     telemetry, elapsed = run_chaos(
         ctx, backend, ChaosMonkey(kill_on={0}), lease_ttl_s=60.0
     )
-    if backend == "local-process":
-        check(telemetry.retries >= 1, "the killed trial was never retried")
-    else:
-        check("worker-dead" in kinds(telemetry), "no worker death observed")
-        check(elapsed < 30.0, f"reclaim took {elapsed:.1f}s: the seen exit "
-              "was waited out via the 60 s lease TTL")
+    check("worker-dead" in kinds(telemetry), "no worker death observed")
+    check(elapsed < 30.0, f"reclaim took {elapsed:.1f}s: the seen exit "
+          "was waited out via the 60 s lease TTL")
 
 
 def leg_hang(ctx, backend):
@@ -179,23 +176,18 @@ def leg_hang(ctx, backend):
         ctx, backend, ChaosMonkey(hang_on={1}),
         trial_timeout_s=ctx["timeout"], lease_ttl_s=60.0,
     )
-    if backend == "local-process":
-        check(telemetry.timeouts >= 1, "the hung trial never timed out")
-    else:
-        check("worker-dead" in kinds(telemetry),
-              "the trial_timeout_s watchdog never killed the hung worker")
-        check(elapsed < 30.0, f"the hang took {elapsed:.1f}s to clear")
+    check(telemetry.timeouts == 1 and telemetry.retries >= 1,
+          "the hung attempt was not timed out and retried")
+    check(elapsed < 30.0, f"the hang took {elapsed:.1f}s to clear")
 
 
 def leg_corrupt(ctx, backend):
     telemetry, _ = run_chaos(
         ctx, backend, ChaosMonkey(corrupt_on={2}), lease_ttl_s=60.0
     )
-    if backend == "local-process":
-        check(telemetry.retries >= 1, "the corrupt result was never retried")
-    else:
-        check("result-corrupt" in kinds(telemetry),
-              "the corrupt payload never reached the result-corrupt path")
+    check("result-corrupt" in kinds(telemetry),
+          "the corrupt payload never reached the result-corrupt path")
+    check(telemetry.retries >= 1, "the corrupt result was never retried")
 
 
 def leg_mute(ctx, backend):
@@ -323,10 +315,17 @@ def leg_read_only(ctx, backend):
         telemetry, _ = run_chaos(ctx, backend, None, lease_ttl_s=5.0)
     finally:
         DirQueueBackend._probe_writable = original
-    degraded = [e for e in telemetry.events if e.kind == "degraded"]
-    check(degraded and "writable" in degraded[0].detail
-          and "->local-process" in degraded[0].detail,
-          f"no read-only degradation to local-process (got {degraded})")
+    # Every directory reads as unwritable here, so a shared queue's
+    # private rung degrades in turn.
+    ladder = {
+        "dir-queue": ["dir-queue->local-supervised",
+                      "local-supervised->local-serial"],
+        "local-supervised": ["local-supervised->local-serial"],
+    }[backend]
+    degraded = [e.detail for e in telemetry.events if e.kind == "degraded"]
+    check([d.split(" ", 1)[0] for d in degraded] == ladder
+          and all("writable" in d for d in degraded),
+          f"read-only did not degrade along {ladder} (got {degraded})")
 
 
 # -- journal legs -----------------------------------------------------------------
@@ -385,19 +384,26 @@ def _resume(path, fingerprint, backend):
     return outcomes, telemetry
 
 
+def failing_trial(scenario):
+    """Stands in for a trial that raises on every attempt of one run."""
+    raise RuntimeError(f"injected failure (seed {scenario.seed})")
+
+
 def leg_journalled_failure(ctx):
     path, fingerprint = _journalled(ctx, "failure")
+    specs = make_specs()
+    specs[1] = dataclasses.replace(specs[1], fn=failing_trial)
     journal = open_journal(path, fingerprint, resume=False)
     try:
         outcomes = TrialRunner(
-            max_workers=2, backend="local-process", max_attempts=2,
-            chaos=ChaosMonkey(kill_all_attempts_on={1}),
-        ).run(make_specs(), journal=journal)
+            max_workers=2, backend="local-supervised", max_attempts=2,
+        ).run(specs, journal=journal)
     finally:
         journal.close()
-    check(sum(not o.ok for o in outcomes) == 1,
-          "expected exactly one journalled failure")
-    outcomes, telemetry = _resume(path, fingerprint, "local-process")
+    check([o.ok for o in outcomes] == [True, False, True, True, True]
+          and outcomes[1].attempts == 2,
+          "expected trial 1 journalled as failed after two attempts")
+    outcomes, telemetry = _resume(path, fingerprint, "local-supervised")
     check(telemetry.trials_resumed == TRIALS - 1,
           f"resumed {telemetry.trials_resumed}, expected {TRIALS - 1}")
     matches_truth(ctx, outcomes, "resumed campaign")
@@ -438,9 +444,9 @@ def leg_compaction(ctx):
 
 
 LEGS = [
-    *[(f"sigkill[{b}]", leg_sigkill, b) for b in EVERY_BACKEND],
-    *[(f"hang[{b}]", leg_hang, b) for b in EVERY_BACKEND],
-    *[(f"corrupt[{b}]", leg_corrupt, b) for b in EVERY_BACKEND],
+    *[(f"sigkill[{b}]", leg_sigkill, b) for b in QUEUES],
+    *[(f"hang[{b}]", leg_hang, b) for b in QUEUES],
+    *[(f"corrupt[{b}]", leg_corrupt, b) for b in QUEUES],
     *[(f"mute[{b}]", leg_mute, b) for b in QUEUES],
     *[(f"contention[{b}]", leg_contention, b) for b in QUEUES],
     ("stale-fence", leg_stale_fence, None),

@@ -28,8 +28,8 @@ to skip trials already in the journal after a crash (``--resume``
 without ``--journal`` is rejected at argument-parse time), and
 ``--strict`` to exit nonzero when any trial failed (instead of silently
 aggregating the survivors).  ``--backend`` picks the execution backend
-(``local-serial``, ``local-process``, ``local-supervised``,
-``dir-queue``; see :mod:`repro.core.backend` and
+(``local-serial``, ``local-supervised`` or its older name
+``local-process``, ``dir-queue``; see :mod:`repro.core.backend` and
 :mod:`repro.core.distq`), with ``--lease-ttl`` and ``--max-retries``
 tuning lease duration and retry budget, and ``--queue-dir`` /
 ``--quarantine-after`` configuring the dir-queue's shared directory and
@@ -378,8 +378,8 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default=None,
-        help="execution backend: local-serial, local-process, "
-        "local-supervised, dir-queue, or auto (default; see "
+        help="execution backend: local-serial, local-supervised (also "
+        "called local-process), dir-queue, or auto (default; see "
         "`repro components`)",
     )
     parser.add_argument(

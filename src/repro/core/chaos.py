@@ -15,11 +15,11 @@ Usage (test-only; production campaigns never construct one)::
     runner = TrialRunner(max_workers=4, trial_timeout_s=5.0, chaos=chaos)
     outcomes = runner.run(specs)   # identical values, noisier telemetry
 
-Sabotage applies to first attempts only (fencing generation 1 under the
-queue backends), so ``max_attempts >= 2`` recovers every trial;
-``kill_all_attempts_on`` kills *every* attempt of a trial — the way to
-manufacture a journalled failure on ``local-process``, and a quarantine
-on the queue backends.
+Sabotage applies to first attempts only (fencing generation 1), so
+``max_attempts >= 2`` recovers every trial; ``kill_all_attempts_on``
+kills *every* attempt of a trial — the way to manufacture a quarantine
+(a trial that keeps killing its workers).  A journalled failure is a
+trial that raises on every attempt, which needs no sabotage.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import os
 import pickle
 import signal
 import time
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional
 
 
 def _explode() -> None:
@@ -53,8 +53,8 @@ def sabotage(fn: Callable[..., Any], args, kwargs, mode: str) -> Any:
     """
     value = fn(*args, **kwargs)
     if mode == "sigkill":
-        # Death without cleanup: the parent sees the pipe close with no
-        # result, exactly like an OOM kill or segfault.
+        # Death without cleanup: the scheduler sees the worker exit while
+        # holding its claim, exactly like an OOM kill or segfault.
         os.kill(os.getpid(), signal.SIGKILL)
     elif mode in ("hang", "mute"):
         # Never return: the trial timeout (or, for "mute", one lease TTL
@@ -73,23 +73,23 @@ class ChaosMonkey:
         kill_on: trial indices whose first attempt is SIGKILLed after
             computing its result.
         hang_on: indices whose first attempt hangs forever (requires the
-            runner to enforce ``trial_timeout_s``; the queue backends'
-            worker watchdog SIGKILLs itself and the claim is reclaimed).
+            runner to enforce ``trial_timeout_s``: the worker's watchdog
+            settles the attempt as a timeout and ends the worker).
         corrupt_on: indices whose first attempt returns a payload that
-            raises while unpickling in the parent (the queue backends
-            discard the result file and hand the trial on).
+            raises while unpickling in the parent (the scheduler counts
+            it as a failed attempt and hands the trial on).
         kill_all_attempts_on: indices whose *every* attempt is SIGKILLed
-            — the trial ends as a journalled failure.
+            — the trial is quarantined once it has killed
+            ``quarantine_after`` distinct workers.
         mute_on: indices whose first attempt goes silent after computing
-            — under the queue backends its heartbeats stop too, so its
-            claim freezes and is reclaimed after one lease TTL (by the
-            scheduler, which SIGKILLs the silent worker, or by a peer);
-            elsewhere it behaves like ``hang_on``.
+            — its heartbeats stop too, so its claim freezes and is
+            reclaimed after one lease TTL (by the scheduler, which
+            SIGKILLs the silent worker, or by a peer).
         contend_on: indices whose trial starts under a claim held by a
-            foreign owner that never heartbeats (a "ghost").  Consumed
-            only by the queue backends: workers must wait one lease TTL,
-            take the claim over with the next fencing token, and still
-            produce the identical result exactly once.
+            foreign owner that never heartbeats (a "ghost"): workers
+            must wait one lease TTL, take the claim over with the next
+            fencing token, and still produce the identical result
+            exactly once.
 
     Indices refer to positions in the spec sequence handed to
     ``TrialRunner.run`` (after journal-resume filtering).
@@ -130,9 +130,3 @@ class ChaosMonkey:
     def contends_for(self, index: int) -> bool:
         """Whether this trial starts under a foreign (ghost) lease."""
         return index in self.contend_on
-
-    def wrap(
-        self, fn: Callable[..., Any], args, kwargs, mode: str
-    ) -> Tuple[Callable[..., Any], Tuple[Any, ...], Dict[str, Any]]:
-        """The ``(fn, args, kwargs)`` triple that runs ``fn`` sabotaged."""
-        return sabotage, (fn, args, kwargs, mode), {}

@@ -119,12 +119,13 @@ class Scenario:
             affects wall clock only, never the trajectory.
         backend: campaign execution backend, a registered ``backend``
             component: ``"auto"`` (the default — serial for one worker,
-            the process pool otherwise), ``"local-serial"``,
-            ``"local-process"``, ``"dir-queue"`` (the claim-file job
-            queue — multiple hosts mounting one directory drain the
-            same campaign; see :mod:`repro.core.distq`) or
-            ``"local-supervised"`` (that queue over a private temporary
-            directory).  Every backend produces bit-identical campaign
+            ``"local-supervised"`` otherwise), ``"local-serial"``,
+            ``"dir-queue"`` (the claim-file job queue — multiple hosts
+            mounting one directory drain the same campaign; see
+            :mod:`repro.core.distq`) or ``"local-supervised"`` (that
+            queue over a private temporary directory;
+            ``"local-process"`` is another name for it, kept as
+            spelled).  Every backend produces bit-identical campaign
             results; the choice affects failure handling only.
         lease_ttl_s: queue backends — how long a claim may sit with
             frozen heartbeats before it is reclaimed.  A worker the

@@ -45,7 +45,8 @@ the same trial, the winner of the next takeover parks the trial in
 ``quarantine/`` (with whatever traceback any attempt managed to leave)
 instead of running it.  Clean Python exceptions are not deaths: they
 release the claim with the attempt counter bumped and are bounded by
-``max_attempts`` like everywhere else.
+``max_attempts`` like everywhere else — and so are trials that overrun
+``trial_timeout_s`` and results the scheduler cannot unpickle.
 
 Layout of a queue directory::
 
@@ -56,7 +57,7 @@ Layout of a queue directory::
       gen/<id>.g<N>        O_EXCL fencing-token allocation markers
       hb/<id>              heartbeat file: owner, token, seq (atomic rename)
       deaths/<id>.<h>      one marker per distinct owner that died holding <id>
-      crash/<id>.g<N>.tb   captured tracebacks per failed generation
+      crash/<id>.g<N>.tb   JSON record of each failed attempt (traceback incl.)
       stale/<id>.g<N>      rejected stale commits (evidence, not state)
       results/<id>.result  pickled fenced result (atomic rename commit)
       quarantine/<id>.json parked poison trials
@@ -68,6 +69,9 @@ death ledger exactly as a TTL-expired takeover would) instead of
 waiting a full TTL for the frozen signature.  A worker that is alive
 but silent is caught after one TTL of frozen signature — by a peer, or
 by the scheduler, which SIGKILLs its own silent worker and reclaims.
+A worker whose trial overran ``trial_timeout_s`` settles that attempt
+itself (release for retry, or a ``timeout`` result on the last attempt)
+and then ends its own process, so no death is charged for it.
 
 Workers (:func:`run_worker_loop`, the ``repro worker`` CLI) need nothing
 but this directory; the scheduling side
@@ -76,9 +80,12 @@ as ``backend="local-supervised"`` over a private temporary directory)
 is one more peer that also spawns local workers, mirrors observed
 claims into the campaign journal as lease records, journals each
 result exactly once, and degrades down the ladder (``dir-queue →
-local-process → local-serial``) when the queue directory goes
-read-only, stat latency spikes, or workers die faster than the respawn
-budget.
+local-serial``) when the queue cannot run: a shared directory that goes
+read-only or whose stat latency spikes hands the rest to a private
+queue directory (or to serial if none can be made); workers dying
+faster than the respawn budget, workers that cannot be spawned, no
+``multiprocessing`` context, or specs that do not pickle go straight
+to serial.
 
 Like every backend, ``dir-queue`` must be bit-identical to
 ``local-serial``: trials are pure functions of their spec, so *who* runs
@@ -91,6 +98,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import pickle
 import shutil
@@ -103,7 +111,7 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import chaos as _chaos
-from repro.core.backend import ExecutionBackend, LocalProcessBackend
+from repro.core.backend import ExecutionBackend, LocalSerialBackend
 from repro.core.journal import trial_key_id
 from repro.core.registry import register
 from repro.core.runner import TrialOutcome, TrialRunner, TrialSpec
@@ -126,6 +134,15 @@ RESPAWN_BUDGET_PER_WORKER = 3
 #: queue root (each slower than the latency budget) that trip a degrade.
 STAT_LATENCY_BUDGET_S = 0.5
 STAT_LATENCY_STRIKES = 3
+
+#: How long the scheduler sleeps after a pass that changed nothing.
+POLL_INTERVAL_S = 0.02
+
+#: Exit status of a worker that ended its own overrunning trial (the
+#: coreutils ``timeout`` convention).  The attempt is already settled in
+#: the queue, so the scheduler respawns such a worker without charging
+#: the respawn budget, which is for crashes.
+TIMED_OUT_EXIT = 124
 
 
 # -- durability + clock hooks -------------------------------------------------
@@ -157,6 +174,20 @@ def _fsync_dir(path: str) -> None:
 
 def _stat(path: str):
     return os.stat(path)
+
+
+def _context():
+    """A multiprocessing context, or ``None`` to degrade to serial.
+
+    Forked workers inherit the parent's memory, so monkey-patched module
+    state (the chaos filesystem shim) behaves as it does in the parent.
+    """
+    try:
+        methods = multiprocessing.get_all_start_methods()
+        method = "fork" if "fork" in methods else None
+        return multiprocessing.get_context(method)
+    except Exception:
+        return None
 
 
 def worker_identity(
@@ -546,13 +577,37 @@ class DirQueue:
             self._claim_payload("", token, max(1, current.attempt), True),
         )
 
-    def release(self, tid: str, claim: ClaimState, error: str) -> None:
-        """Clean-failure release: same token, attempt bumped, no owner.
+    def release(
+        self,
+        tid: str,
+        claim: ClaimState,
+        error: str,
+        status: str = "error",
+        wall_clock_s: float = 0.0,
+    ) -> None:
+        """Failed-attempt release: same token, attempt bumped, no owner.
 
-        The traceback is preserved per generation so a later quarantine
-        (or a human) can see what the attempts actually raised.
+        The failure (``status`` ``"error"`` or ``"timeout"``, with its
+        traceback) is kept per generation, so the scheduler can report
+        every attempt and a later quarantine (or a human) can see what
+        the attempts actually raised.  Fenced like a commit: a holder
+        whose claim was taken over releases nothing, or it would hand
+        the reclaimer's live claim back to the queue.
         """
-        self.write_traceback(tid, claim.token, error)
+        current = self.read_claim(tid)
+        if current is None or (current.owner, current.token) != (
+            claim.owner, claim.token
+        ):
+            return
+        failure = {
+            "attempt": claim.attempt, "status": status,
+            "error": str(error)[:8000], "wall_clock_s": wall_clock_s,
+        }
+        _atomic_write(
+            self._path("crash", f"{tid}.g{claim.token}.tb"),
+            json.dumps(failure, sort_keys=True).encode("utf-8"),
+            fsync=False,
+        )
         _atomic_write(
             self._path("claims", f"{tid}.claim"),
             self._claim_payload("", claim.token, claim.attempt + 1, True),
@@ -622,28 +677,25 @@ class DirQueue:
                 continue
         return owners
 
-    def write_traceback(self, tid: str, token: int, text: str) -> None:
-        _atomic_write(
-            self._path("crash", f"{tid}.g{token}.tb"),
-            str(text)[:8000].encode("utf-8"),
-            fsync=False,
+    def failures(self, tid: str) -> List[Dict[str, Any]]:
+        """The released failed attempts of ``tid``, in attempt order."""
+        try:
+            names = os.listdir(self._dir("crash"))
+        except OSError:
+            return []
+        found = [
+            self._read_json(self._path("crash", name))
+            for name in names if name.startswith(f"{tid}.")
+        ]
+        return sorted(
+            (record for record in found if record is not None),
+            key=lambda record: record["attempt"],
         )
 
     def last_traceback(self, tid: str) -> str:
-        try:
-            names = sorted(
-                name
-                for name in os.listdir(self._dir("crash"))
-                if name.startswith(f"{tid}.")
-            )
-        except OSError:
-            names = []
-        for name in reversed(names):
-            try:
-                with open(self._path("crash", name), "rb") as handle:
-                    return handle.read().decode("utf-8")
-            except OSError:
-                continue
+        failures = self.failures(tid)
+        if failures:
+            return str(failures[-1].get("error", ""))
         return (
             "no traceback captured: worker died without reporting "
             "(SIGKILL/OOM/segfault)"
@@ -731,30 +783,19 @@ class DirQueue:
     def has_quarantine(self, tid: str) -> bool:
         return os.path.exists(self._path("quarantine", f"{tid}.json"))
 
-    def drop_result(self, tid: str) -> None:
-        """Parent-side repair: discard an unreadable result file.
+    def drop_result(self, tid: str, claim: ClaimState, error: str) -> None:
+        """Parent-side repair: an unreadable result is a failed attempt.
 
-        The committing worker moved on the moment it renamed the result
-        in, so its claim would otherwise sit with frozen heartbeats until
-        a peer reclaims it through the dead-owner path — charging a live,
-        healthy worker to the death ledger, and a few corrupt-result
-        cycles could spuriously quarantine the trial.  Marking the claim
-        released (same token, attempt preserved — the fault is the
-        infrastructure's, not the trial's) sends the reclaim down the
-        released path, which records no death.
+        The result file is discarded and the committing claim released
+        with the attempt bumped and ``error`` kept, exactly as if the
+        trial had raised.  The committing worker moved on the moment it
+        renamed the result in, so its claim would otherwise sit with
+        frozen heartbeats until a peer reclaims it through the dead-owner
+        path — charging a live, healthy worker to the death ledger.
         """
         try:
             os.unlink(self._path("results", f"{tid}.result"))
-        except OSError:
-            return  # already gone, or read-only: the health probe reacts
-        claim = self.read_claim(tid)
-        if claim is None or claim is CLAIM_IN_FLUX or claim.released:
-            return
-        try:
-            _atomic_write(
-                self._path("claims", f"{tid}.claim"),
-                self._claim_payload("", claim.token, claim.attempt, True),
-            )
+            self.release(tid, claim, error)
         except OSError:
             return  # read-only queue: the health probe reacts
 
@@ -806,11 +847,12 @@ def _run_claimed(
     lets a sabotaged campaign converge to the serial truth — except
     ``kill_all``, which sabotages every generation and drives the
     quarantine path.  A trial that outlives ``trial_timeout_s`` is
-    handled by a watchdog timer that leaves a traceback and SIGKILLs
-    *ourselves*: a hang is indistinguishable from a crash to the rest
-    of the protocol (the scheduler sees the exit and reclaims at once, a
-    peer after one TTL), which is the simplest correct semantics when
-    the trial runs in our own process.
+    settled by a watchdog timer as one failed attempt with status
+    ``"timeout"`` — released for retry, or committed through the fence
+    on the last attempt — which then ends this process with
+    :data:`TIMED_OUT_EXIT`: the trial runs in our own main thread, and
+    nothing short of process exit stops it.  A lock makes the trial's
+    own settlement and the watchdog's mutually exclusive.
     """
     fn: Callable[..., Any] = task["fn"]
     args, kwargs = task.get("args", ()), task.get("kwargs", {})
@@ -836,14 +878,32 @@ def _run_claimed(
             except OSError:
                 return  # queue unwritable; the claim will simply expire
 
-    def expire() -> None:
-        try:
-            queue.write_traceback(
-                tid, claim.token,
-                f"trial exceeded trial_timeout_s={trial_timeout_s}",
+    def settle(record: Dict[str, Any]) -> None:
+        """Release a failed attempt for retry, or commit the outcome."""
+        elapsed = time.monotonic() - started
+        if record["status"] != "ok" and claim.attempt < queue.max_attempts:
+            queue.release(
+                tid, claim, record["error"], record["status"], elapsed
             )
+            return
+        record.update(attempts=claim.attempt, wall_clock_s=elapsed)
+        try:
+            queue.commit_result(tid, me, claim.token, record)
+        except StaleLeaseError:
+            return  # fenced out: drop the value; the current holder commits
+
+    settling = threading.Lock()
+
+    def expire() -> None:
+        if not settling.acquire(blocking=False):
+            return  # the trial finished first and is settling itself
+        try:
+            settle({
+                "status": "timeout",
+                "error": f"trial exceeded trial_timeout_s={trial_timeout_s}",
+            })
         finally:
-            os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(TIMED_OUT_EXIT)
 
     if mode != "mute":
         threading.Thread(target=beat, daemon=True).start()
@@ -862,15 +922,8 @@ def _run_claimed(
         stop.set()
         if watchdog is not None:
             watchdog.cancel()
-    if record["status"] == "error" and claim.attempt < queue.max_attempts:
-        queue.release(tid, claim, record["error"])
-        return
-    record["attempts"] = claim.attempt
-    record["wall_clock_s"] = time.monotonic() - started
-    try:
-        queue.commit_result(tid, me, claim.token, record)
-    except StaleLeaseError:
-        return  # fenced out: drop the value; the current holder commits
+    settling.acquire()  # blocks for good if the watchdog won: it exits
+    settle(record)
 
 
 def _discover_queues(root: str) -> List[str]:
@@ -1030,9 +1083,9 @@ class DirQueueBackend(ExecutionBackend):
     folded into outcomes and journalled exactly once, observed claims
     are mirrored into the journal as lease records carrying
     host/pid/fencing-token, claims of workers it saw exit are reclaimed
-    at once, and a health probe degrades the whole campaign one rung
-    down the ladder (``local-process``) when the directory stops
-    cooperating — unwritable (read-only remount), stat latency over
+    at once, and a health probe degrades the rest of the campaign when
+    the queue stops cooperating (see :meth:`_degrade`): a directory that
+    goes unwritable (read-only remount) or whose stat latency is over
     budget, or workers dying faster than the respawn budget covers.
     """
 
@@ -1050,7 +1103,13 @@ class DirQueueBackend(ExecutionBackend):
         queue_dir = None if self.private else runner.queue_dir
         ephemeral = queue_dir is None
         if ephemeral:
-            queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
+            try:
+                queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
+            except OSError as exc:
+                return self._degrade(
+                    specs, [None] * len(specs), journal,
+                    reason=f"cannot make a private queue dir: {exc}",
+                )
         try:
             return self._run_queue(queue_dir, specs, journal)
         finally:
@@ -1102,15 +1161,19 @@ class DirQueueBackend(ExecutionBackend):
                 tid = queue.enqueue(_task_payload(runner, index, spec))
                 index_of.setdefault(tid, []).append(index)
             self._plant_ghost_claims(queue, specs)
-        except (OSError, pickle.PicklingError, AttributeError, TypeError) as exc:
-            # OSError: unusable directory.  The pickle family: specs that
-            # cannot cross a file boundary (closures, lambdas) — exactly
-            # what the process pool's fork context still handles.
+        except OSError as exc:
             return self._degrade(
                 specs, [None] * len(specs), journal,
-                reason=f"queue dir unusable: {exc}",
+                reason=f"queue dir unusable: {exc}", directory=True,
             )
-        context = runner._context()
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            # Specs that cannot cross a file boundary (closures, lambdas)
+            # cannot cross any other queue directory either.
+            return self._degrade(
+                specs, [None] * len(specs), journal,
+                reason=f"specs do not pickle: {exc}",
+            )
+        context = _context()
         if context is None:
             return self._degrade(
                 specs, [None] * len(specs), journal,
@@ -1135,6 +1198,7 @@ class DirQueueBackend(ExecutionBackend):
         lease_mirror: Dict[str, Tuple[str, int]] = {}
         slow_stats = 0
         degrade_reason = None
+        directory_failed = False
 
         def spawn() -> None:
             nonlocal epoch
@@ -1175,9 +1239,11 @@ class DirQueueBackend(ExecutionBackend):
                     degrade_reason = (
                         f"stat latency over budget ({latency:.3f}s)"
                     )
+                    directory_failed = True
                     break
                 if not writable:
                     degrade_reason = "queue dir no longer writable"
+                    directory_failed = True
                     break
 
                 # Fleet liveness before the claims are read: a worker
@@ -1187,6 +1253,7 @@ class DirQueueBackend(ExecutionBackend):
                     identity for identity, process in workers.items()
                     if not process.is_alive()
                 ]
+                crashed = 0
                 for identity in dead:
                     process = workers.pop(identity)
                     corpses.add(identity)
@@ -1195,6 +1262,8 @@ class DirQueueBackend(ExecutionBackend):
                             "worker-dead",
                             detail=f"{identity} exit code {process.exitcode}",
                         )
+                    if process.exitcode != TIMED_OUT_EXIT:
+                        crashed += 1
 
                 # Results are listed before the claims are read: a claim
                 # that committed a listed result is final by then, so the
@@ -1237,13 +1306,11 @@ class DirQueueBackend(ExecutionBackend):
                 if dead and not queue.drained() and any(
                     outcome is None for outcome in results
                 ):
+                    if crashed > respawns_left:
+                        degrade_reason = "worker respawn budget exhausted"
+                        break
+                    respawns_left -= crashed
                     for _ in dead:
-                        if respawns_left <= 0:
-                            degrade_reason = (
-                                "worker respawn budget exhausted"
-                            )
-                            break
-                        respawns_left -= 1
                         try:
                             spawn()
                         except Exception as exc:
@@ -1254,7 +1321,7 @@ class DirQueueBackend(ExecutionBackend):
                     if degrade_reason is not None:
                         break
                 if not progressed:
-                    time.sleep(runner.poll_interval_s)
+                    time.sleep(POLL_INTERVAL_S)
         finally:
             for process in workers.values():
                 process.terminate()
@@ -1263,7 +1330,8 @@ class DirQueueBackend(ExecutionBackend):
 
         if degrade_reason is not None:
             results = self._degrade(
-                specs, results, journal, reason=degrade_reason
+                specs, results, journal, reason=degrade_reason,
+                directory=directory_failed,
             )
         return [outcome for outcome in results if outcome is not None]
 
@@ -1370,101 +1438,115 @@ class DirQueueBackend(ExecutionBackend):
         """Fold new results/quarantines into outcomes; True if any did.
 
         ``ready`` and ``parked`` are the task ids holding a result and a
-        quarantine file at this pass (:meth:`DirQueue.ids_in`).  A tid covers every spec index whose key hashed to it (duplicate
-        keys share one task), so each decision fans out to all of them —
+        quarantine file at this pass (:meth:`DirQueue.ids_in`).  A tid
+        covers every spec index whose key hashed to it (duplicate keys
+        share one task), so each decision fans out to all of them —
         per-index records mirror what serial would have reported had it
-        run each occurrence itself.
+        run each occurrence itself, one record per attempt.
         """
-        runner = self.runner
         progressed = False
         for tid, indices in index_of.items():
             if all(results[index] is not None for index in indices):
                 continue
             if tid not in seen_results and tid in ready:
-                try:
-                    record = queue.read_result(tid)
-                except Exception as exc:
-                    # A corrupt payload (chaos, torn NFS page): discard
-                    # and let the fence hand the trial to a new worker.
-                    queue.drop_result(tid)
-                    runner._record_event(
-                        "result-corrupt",
-                        key=specs[indices[0]].key,
-                        detail=repr(exc),
-                    )
-                    continue
+                record = self._read_result(queue, tid, specs[indices[0]].key)
                 if record is None:
                     continue
                 seen_results.add(tid)
-                progressed = True
-                attempts = int(record.get("attempts", 1))
-                wall = float(record.get("wall_clock_s", 0.0))
-                for index in indices:
-                    spec = specs[index]
-                    if record.get("status") == "ok":
-                        runner._record(spec.key, attempts, "ok", wall)
-                        if journal is not None:
-                            journal.record_success(
-                                spec.key, record.get("value"), attempts,
-                                wall,
-                            )
-                        results[index] = TrialOutcome(
-                            key=spec.key,
-                            index=index,
-                            value=record.get("value"),
-                            attempts=attempts,
-                            wall_clock_s=wall,
-                        )
-                        runner._emit(results[index])
-                    else:
-                        error = str(record.get("error", "unknown error"))
-                        runner._record(
-                            spec.key, attempts, "error", wall, error
-                        )
-                        if journal is not None:
-                            journal.record_failure(
-                                spec.key, error, attempts
-                            )
-                        results[index] = TrialOutcome(
-                            key=spec.key,
-                            index=index,
-                            error=error,
-                            attempts=attempts,
-                            wall_clock_s=wall,
-                        )
             elif tid not in seen_quarantine and tid in parked:
-                record = queue.read_quarantine(tid)
-                if record is None:
+                parked_record = queue.read_quarantine(tid)
+                if parked_record is None:
                     continue
                 seen_quarantine.add(tid)
-                progressed = True
-                owners = list(record.get("owners", ()))
-                attempts = int(record.get("attempts", 1))
-                error = (
-                    f"quarantined: killed {len(owners)} distinct "
-                    f"workers ({', '.join(owners)})\n"
-                    f"{record.get('traceback', '')}"
+                record = dict(parked_record, status="quarantined")
+            else:
+                continue
+            progressed = True
+            attempts = int(record.get("attempts", 1))
+            # Failed attempts bump the attempt counter, so a first
+            # attempt has no earlier failures to read.
+            earlier = queue.failures(tid) if attempts > 1 else []
+            for index in indices:
+                results[index] = self._settle(
+                    specs[index].key, index, record, attempts, earlier,
+                    journal,
                 )
-                for index in indices:
-                    spec = specs[index]
-                    runner._record(spec.key, attempts, "error", 0.0, error)
-                    runner._record_event(
-                        "quarantined", key=spec.key,
-                        detail=f"{len(owners)} dead workers",
-                    )
-                    if journal is not None:
-                        journal.record_quarantine(
-                            spec.key, owners, attempts,
-                            record.get("traceback", ""),
-                        )
-                    results[index] = TrialOutcome(
-                        key=spec.key,
-                        index=index,
-                        error=error,
-                        attempts=attempts,
-                        infrastructure=True,
-                    )
         return progressed
+
+    def _read_result(self, queue, tid, key):
+        """The committed result record of ``tid``, or ``None`` for now.
+
+        A corrupt payload (chaos, torn NFS page) is a failed attempt:
+        retried like a raise, and settled as an infrastructure failure
+        on the last attempt (the file stays, so no worker runs the trial
+        again).
+        """
+        try:
+            return queue.read_result(tid)
+        except Exception as exc:
+            error = f"result could not be unpickled: {exc!r}"
+        self.runner._record_event("result-corrupt", key=key, detail=error)
+        claim = queue.read_claim(tid)
+        if claim is None or claim is CLAIM_IN_FLUX:
+            attempt = queue.max_attempts
+        else:
+            attempt = claim.attempt
+        if attempt < queue.max_attempts:
+            queue.drop_result(tid, claim, error)
+            return None
+        return {"status": "error", "error": error, "attempts": attempt,
+                "infrastructure": True}
+
+    def _settle(self, key, index, record, attempts, earlier, journal):
+        """Report one settled trial; returns its outcome."""
+        runner = self.runner
+        for failure in earlier:
+            if failure["attempt"] < attempts:
+                runner._record(
+                    key, failure["attempt"], failure["status"],
+                    failure["wall_clock_s"], failure["error"],
+                )
+        status = record["status"]
+        wall = float(record.get("wall_clock_s", 0.0))
+        if status == "ok":
+            value = record.get("value")
+            runner._record(key, attempts, "ok", wall)
+            if journal is not None:
+                journal.record_success(key, value, attempts, wall)
+            outcome = TrialOutcome(
+                key=key, index=index, value=value, attempts=attempts,
+                wall_clock_s=wall,
+            )
+            runner._emit(outcome)
+            return outcome
+        if status == "quarantined":
+            owners = list(record.get("owners", ()))
+            traceback_text = record.get("traceback", "")
+            error = (
+                f"quarantined: killed {len(owners)} distinct "
+                f"workers ({', '.join(owners)})\n{traceback_text}"
+            )
+            runner._record(key, attempts, "error", 0.0, error)
+            runner._record_event(
+                "quarantined", key=key, detail=f"{len(owners)} dead workers"
+            )
+            if journal is not None:
+                journal.record_quarantine(
+                    key, owners, attempts, traceback_text
+                )
+        else:
+            error = str(record.get("error", "unknown error"))
+            runner._record(key, attempts, status, wall, error)
+            if journal is not None:
+                journal.record_failure(key, error, attempts)
+        return TrialOutcome(
+            key=key, index=index, error=error, attempts=attempts,
+            wall_clock_s=wall,
+            timed_out=status == "timeout",
+            infrastructure=status != "error" or record.get(
+                "infrastructure", False
+            ),
+        )
 
     def _plant_ghost_claims(self, queue, specs) -> None:
         """Chaos lease contention: pre-claim trials for a foreign ghost.
@@ -1485,29 +1567,42 @@ class DirQueueBackend(ExecutionBackend):
 
     # -- degradation ----------------------------------------------------------
 
-    def _degrade(self, specs, results, journal, reason: str):
-        """Finish the unfinished trials one rung down, chaos-free."""
+    def _degrade(
+        self, specs, results, journal, reason: str, directory: bool = False
+    ):
+        """Finish the unfinished trials one rung down, chaos-free.
+
+        A shared directory that stopped cooperating (``directory``)
+        hands them to a private queue directory, which drops to serial
+        in turn if it cannot run either; every other failure — and any
+        failure of a private queue — goes straight to serial.
+        """
         runner = self.runner
+        lower = (
+            LocalSupervisedBackend
+            if directory and not self.private
+            else LocalSerialBackend
+        )
         remaining = [
             i for i, outcome in enumerate(results) if outcome is None
         ]
         runner._record_event(
             "degraded",
             detail=(
-                f"{self.name}->local-process ({len(remaining)} trials: "
+                f"{self.name}->{lower.name} ({len(remaining)} trials: "
                 f"{reason})"
             ),
         )
         if journal is not None:
             journal.record_campaign_event(
-                "degraded", f"{self.name}->local-process: {reason}"
+                "degraded", f"{self.name}->{lower.name}: {reason}"
             )
         if not remaining:
             return results
         saved_chaos = runner.chaos
         runner.chaos = None  # the sabotage made its point; finish clean
         try:
-            sub = LocalProcessBackend(runner).run(
+            sub = lower(runner).run(
                 [specs[i] for i in remaining], journal
             )
         finally:
@@ -1522,9 +1617,11 @@ class LocalSupervisedBackend(DirQueueBackend):
     """``local-supervised``: the queue over a private temporary directory.
 
     Only this run's own workers can join, and the directory is removed
-    when the run ends (the journal is the durable record).  The name is
-    the one the pre-queue supervised pool registered, kept so saved
-    scenarios, CLI invocations and campaign fingerprints still work.
+    when the run ends (the journal is the durable record).  It is what
+    ``auto`` runs for more than one worker.  Its name, and the
+    ``local-process`` name it also answers to, predate the queue and
+    are kept so saved scenarios, CLI invocations and campaign
+    fingerprints still work.
     """
 
     name = "local-supervised"
@@ -1575,7 +1672,16 @@ def make_dir_queue(runner: TrialRunner) -> ExecutionBackend:
 
 
 @register("backend", "local-supervised")
+@register("backend", "local-process")  # the retired process pool's name
 def make_local_supervised(runner: TrialRunner) -> ExecutionBackend:
+    return LocalSupervisedBackend(runner)
+
+
+@register("backend", "auto")
+def make_auto(runner: TrialRunner) -> ExecutionBackend:
+    """Serial for one worker, the private-directory queue otherwise."""
+    if runner.max_workers == 1:
+        return LocalSerialBackend(runner)
     return LocalSupervisedBackend(runner)
 
 

@@ -41,8 +41,8 @@ Twelve kinds exist (:data:`KINDS`):
 ``backend``
     Execution-backend factories, ``factory(runner) ->
     ExecutionBackend`` (see :mod:`repro.core.backend`) — where a
-    campaign's *trials* execute (in-process serial, a local process
-    pool, or the claim-file job queue); every backend
+    campaign's *trials* execute (in-process serial, or the claim-file
+    job queue over a shared or a private directory); every backend
     produces bit-identical campaign results, only the failure-handling
     machinery differs.
 ``tech``

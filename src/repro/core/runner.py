@@ -9,12 +9,14 @@ set with:
 * **deterministic results** — a trial's output is a pure function of its
   :class:`TrialSpec` arguments (seeds are derived *before* submission), so
   ``max_workers=4`` is bit-identical to ``max_workers=1``;
-* **bounded trials** — ``trial_timeout_s`` kills a stuck worker;
-* **automatic retry** — a crashed or timed-out trial is re-launched up to
-  ``max_attempts`` times;
+* **bounded trials** — ``trial_timeout_s`` ends a stuck worker;
+* **automatic retry** — a trial that raises, times out or returns a
+  result the parent cannot unpickle is re-run up to ``max_attempts``
+  times;
 * **graceful degradation** — ``max_workers=1``, an unavailable
-  ``multiprocessing`` layer, or a failed worker launch all fall back to
-  plain in-process serial execution;
+  ``multiprocessing`` layer, workers that cannot be spawned, or specs
+  that do not pickle all fall back to plain in-process serial
+  execution;
 * **observability** — every attempt is reported to a
   :class:`repro.metrics.collector.CampaignTelemetry`;
 * **crash-safety** — pass a :class:`repro.core.journal.TrialJournal` to
@@ -25,25 +27,18 @@ set with:
 
 *Where* the trials execute is an :class:`~repro.core.backend.
 ExecutionBackend` resolved by name through the ``backend`` registry
-namespace: ``"local-serial"`` (in-process), ``"local-process"`` (the
-process pool), ``"dir-queue"`` (the claim-file job queue of
-:mod:`repro.core.distq`), ``"local-supervised"`` (that queue over a
-private temporary directory), or ``"auto"`` (serial for
-``max_workers=1``, the pool otherwise).  This class keeps the
-campaign-level concerns every backend shares — journal resume filtering,
-telemetry, the low-level worker mechanics backends borrow — and delegates
-execution itself.
-
-One process per trial keeps the failure domain small (a crashing trial
-cannot take unrelated trials with it, unlike a shared pool) and makes the
-timeout semantics exact: the stuck process is terminated, not abandoned.
-Simulation trials run for seconds, so process start-up cost is noise.
+namespace: ``"local-serial"`` (in-process), ``"dir-queue"`` (the
+claim-file job queue of :mod:`repro.core.distq`),
+``"local-supervised"`` (that queue over a private temporary directory;
+``"local-process"`` is another name for it), or ``"auto"`` (serial for
+``max_workers=1``, the private queue otherwise).  This class keeps the
+campaign-level concerns every backend shares — journal resume
+filtering, telemetry, the serial path — and delegates execution itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import queue as queue_module
 import threading
 import time
@@ -69,8 +64,9 @@ class TrialSpec:
     Attributes:
         key: caller-chosen identity, carried through to the outcome and
             telemetry (e.g. ``(density, trial)``).
-        fn: the trial function; with worker processes its return value
-            must be picklable.
+        fn: the trial function; with worker processes the spec and
+            its return value must pickle (a campaign whose specs do not
+            pickle runs serially).
         args / kwargs: positional and keyword arguments for ``fn``.
     """
 
@@ -113,39 +109,6 @@ class TrialOutcome:
         return self.error is None
 
 
-def _worker_main(fn, args, kwargs, conn) -> None:
-    """Worker-process entry point: run the trial, ship back the result.
-
-    Exceptions travel back as data, not as process death, so an ordinary
-    Python error never breaks the campaign.  Only a hard crash (segfault,
-    OOM kill) leaves the parent to diagnose an empty pipe.
-    """
-    try:
-        value = fn(*args, **kwargs)
-        try:
-            conn.send(("ok", value))
-        except Exception as exc:  # result not picklable / pipe gone
-            conn.send(("error", f"result could not be returned: {exc!r}"))
-    except BaseException as exc:
-        conn.send(
-            ("error", f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
-        )
-    finally:
-        conn.close()
-
-
-@dataclasses.dataclass
-class _Active:
-    """Book-keeping for one in-flight worker process."""
-
-    index: int
-    attempt: int
-    process: Any
-    conn: Any
-    started: float
-    deadline: Optional[float]
-
-
 class TrialRunner:
     """Execute a sequence of :class:`TrialSpec` with bounded parallelism.
 
@@ -154,9 +117,9 @@ class TrialRunner:
             under the ``"auto"`` backend (no pickling requirements, no
             timeout enforcement).
         trial_timeout_s: per-attempt wall-clock bound; a worker exceeding
-            it is terminated and the trial retried.  Only enforceable by
-            the process-based backends (a serial trial cannot be
-            preempted).
+            it ends itself and the attempt counts as failed (status
+            ``"timeout"``).  Only enforceable by the queue backends (a
+            serial trial cannot be preempted).
         max_attempts: total tries per trial (1 = no retry).
         telemetry: optional :class:`CampaignTelemetry` receiving one
             :class:`TrialRecord` per attempt (and, under the queue
@@ -164,7 +127,8 @@ class TrialRunner:
             per supervision action).
         backend: execution-backend name resolved through the ``backend``
             registry namespace — ``"auto"`` (default), ``"local-serial"``,
-            ``"local-process"``, ``"dir-queue"`` or ``"local-supervised"``.
+            ``"dir-queue"``, ``"local-supervised"`` or its older name
+            ``"local-process"``.
         lease_ttl_s: queue backends (``dir-queue``, ``local-supervised``)
             — how long a claim may sit with frozen heartbeats before
             another worker reclaims it.  A worker seen to exit is
@@ -186,12 +150,12 @@ class TrialRunner:
             campaign settles them; resumed trials immediately).  This is
             the push half of :meth:`stream`.
         chaos: TEST-ONLY failure injector (a
-            :class:`repro.core.chaos.ChaosMonkey`).  Consulted per
-            worker launch; sabotaged attempts run the real trial and
+            :class:`repro.core.chaos.ChaosMonkey`).  Its plan rides in
+            each queued task; sabotaged attempts run the real trial and
             then fail for real (SIGKILL, hang, corrupt payload,
             heartbeat suppression, lease contention), so the
             retry/journal machinery is exercised end to end.  Only
-            meaningful on process-based backends — the serial path runs
+            meaningful on the queue backends — the serial path runs
             in-process and is never sabotaged.  Production campaigns
             must leave this ``None``.
     """
@@ -202,7 +166,6 @@ class TrialRunner:
         trial_timeout_s: Optional[float] = None,
         max_attempts: int = 2,
         telemetry: Optional[CampaignTelemetry] = None,
-        poll_interval_s: float = 0.02,
         chaos: Optional["ChaosMonkey"] = None,
         backend: str = "auto",
         lease_ttl_s: float = 30.0,
@@ -233,7 +196,6 @@ class TrialRunner:
         self.trial_timeout_s = trial_timeout_s
         self.max_attempts = int(max_attempts)
         self.telemetry = telemetry
-        self.poll_interval_s = poll_interval_s
         self.chaos = chaos
         # Validate the backend name eagerly: an unknown backend should
         # fail at construction with the live list of choices, not after
@@ -382,7 +344,7 @@ class TrialRunner:
         spec: TrialSpec,
         journal: Optional[TrialJournal] = None,
     ) -> TrialOutcome:
-        """In-process execution with the same retry semantics as the pool."""
+        """In-process execution with the same retry semantics as the queue."""
         error = None
         for attempt in range(1, self.max_attempts + 1):
             started = time.perf_counter()
@@ -416,126 +378,6 @@ class TrialRunner:
             error=error,
             attempts=self.max_attempts,
         )
-
-    # -- parallel path ------------------------------------------------------
-
-    @staticmethod
-    def _context():
-        """A multiprocessing context, or ``None`` to degrade to serial.
-
-        Forking servers inherit the parent's memory, so even closures and
-        monkey-patched module state behave identically to serial runs;
-        where only ``spawn`` exists the specs must be picklable, and any
-        launch failure degrades the affected trials to in-process runs.
-        """
-        try:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else None
-            return multiprocessing.get_context(method)
-        except Exception:
-            return None
-
-    def _launch(self, context, spec: TrialSpec, index: int, attempt: int):
-        """Start one worker process for one attempt."""
-        fn, args, kwargs = spec.fn, spec.args, spec.kwargs
-        if self.chaos is not None:
-            mode = self.chaos.mode_for(index, attempt)
-            if mode is not None:
-                fn, args, kwargs = self.chaos.wrap(fn, args, kwargs, mode)
-        recv_conn, send_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_worker_main,
-            args=(fn, args, kwargs, send_conn),
-            daemon=True,
-        )
-        process.start()
-        send_conn.close()  # keep only the child's handle on the write end
-        started = time.monotonic()
-        deadline = (
-            started + self.trial_timeout_s
-            if self.trial_timeout_s is not None
-            else None
-        )
-        return _Active(
-            index=index,
-            attempt=attempt,
-            process=process,
-            conn=recv_conn,
-            started=started,
-            deadline=deadline,
-        )
-
-    def _poll(self, worker: _Active, now: float, settle) -> bool:
-        """Check one in-flight worker; returns True when it was settled.
-
-        ``settle`` receives an ``infra=`` flag distinguishing
-        *infrastructure* failures — parent-diagnosed damage (pipe closed,
-        unpickle failure, suspect exit code, crash, timeout) that a retry
-        on healthy infrastructure could fix — from trial errors the
-        worker itself reported.  Only the former mark a terminal outcome
-        as ``infrastructure``.
-        """
-        elapsed = now - worker.started
-        if worker.conn.poll():
-            infra = False
-            try:
-                status, payload = worker.conn.recv()
-            except (EOFError, OSError):
-                status, payload, infra = (
-                    "error",
-                    "worker pipe closed before a result arrived",
-                    True,
-                )
-            except Exception as exc:
-                # The payload crossed the pipe but failed to *unpickle* on
-                # this side (e.g. its class raises in __setstate__).  That
-                # must count as a failed attempt and retry — not escape and
-                # kill the whole campaign loop.
-                status, payload, infra = (
-                    "error",
-                    f"result could not be unpickled: {exc!r}",
-                    True,
-                )
-            worker.process.join()
-            worker.conn.close()
-            if status == "ok" and worker.process.exitcode not in (None, 0):
-                # The worker died after sending but with a failure exit:
-                # treat the result as suspect and retry the attempt.
-                status, payload, infra = (
-                    "error",
-                    "worker exited with code "
-                    f"{worker.process.exitcode} after sending its result",
-                    True,
-                )
-            if status == "ok":
-                settle(worker.index, worker.attempt, "ok", elapsed, payload)
-            else:
-                settle(
-                    worker.index, worker.attempt, "error", elapsed,
-                    error=payload, infra=infra,
-                )
-            return True
-        if not worker.process.is_alive():
-            exitcode = worker.process.exitcode
-            worker.process.join()
-            worker.conn.close()
-            settle(
-                worker.index, worker.attempt, "error", elapsed,
-                error=f"worker crashed (exit code {exitcode})", infra=True,
-            )
-            return True
-        if worker.deadline is not None and now >= worker.deadline:
-            worker.process.terminate()
-            worker.process.join()
-            worker.conn.close()
-            settle(
-                worker.index, worker.attempt, "timeout", elapsed,
-                error="trial exceeded trial_timeout_s="
-                      f"{self.trial_timeout_s}",
-                infra=True,
-            )
-            return True
-        return False
 
     # -- telemetry ----------------------------------------------------------
 

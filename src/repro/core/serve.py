@@ -45,7 +45,7 @@ scheduler spawns local workers, and any ``repro worker --follow`` pointed
 at the spool picks up each job's queue as it appears — that is the
 multi-host path.  The backend's degradation ladder still applies, so a
 read-only or pathologically slow shared directory degrades the job to
-the local process pool rather than wedging the spool.
+a private local queue (or to serial) rather than wedging the spool.
 """
 
 from __future__ import annotations

@@ -134,8 +134,9 @@ def sweep_scenario(
     definition is rejected, not merged.
 
     The scenario's ``backend``/``lease_ttl_s`` fields choose the
-    execution backend (``"auto"``, ``"local-serial"``, ``"local-process"``,
-    ``"local-supervised"`` or ``"dir-queue"``) and its lease duration;
+    execution backend (``"auto"``, ``"local-serial"``,
+    ``"local-supervised"`` — also called ``"local-process"`` — or
+    ``"dir-queue"``) and its lease duration;
     ``queue_dir``/``quarantine_after`` configure the shared-directory
     queue — see :mod:`repro.core.backend` and :mod:`repro.core.distq`.
     """

@@ -26,6 +26,8 @@ are single-threaded), cached per canonical name.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from typing import Dict, Set
 
@@ -44,6 +46,19 @@ __all__ = [
 _BACKENDS: Dict[str, KernelBackend] = {}
 #: Backend names whose fallback warning already fired this process.
 _WARNED: Set[str] = set()
+#: Source files under this directory belong to the package.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _outside_stacklevel() -> int:
+    """``warnings.warn`` stacklevel of the first caller outside ``repro``:
+    the user code that loaded the removed name, not the resolver."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and os.path.abspath(
+        frame.f_code.co_filename
+    ).startswith(_PACKAGE_DIR + os.sep):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 def _fallback(name: str, fallback_name: str, reason: str) -> KernelBackend:
@@ -53,7 +68,7 @@ def _fallback(name: str, fallback_name: str, reason: str) -> KernelBackend:
             f"kernels={name!r} unavailable ({reason}); "
             f"falling back to kernels={fallback_name!r} (bit-identical)",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=_outside_stacklevel(),
         )
     return resolve_backend(fallback_name)
 

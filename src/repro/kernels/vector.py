@@ -16,6 +16,22 @@ import numpy as np
 from repro.kernels.base import KernelBackend
 
 
+def _ring_gaps(pos, num_cells, out) -> None:
+    """Gap to the leader in ring order, for a non-empty lane, into ``out``.
+
+    Cells lie in ``[0, num_cells)``, so every difference is above
+    ``-num_cells`` and one masked add folds the negative ones onto the
+    ring (the floored modulo, without an integer ``%``).
+    """
+    if len(pos) == 1:
+        out[0] = num_cells - 1
+        return
+    np.subtract(pos[1:], pos[:-1], out=out[:-1])
+    out[-1] = pos[0] - pos[-1]
+    out -= 1
+    np.add(out, num_cells, out=out, where=out < 0)
+
+
 class VectorBackend(KernelBackend):
     """Numpy array kernels (``kernels="vector"``, what ``auto`` runs)."""
 
@@ -25,18 +41,7 @@ class VectorBackend(KernelBackend):
 
     def nasch_step(self, pos, vel, gaps_out, wrapped_out, draws,
                    use_draws, p, v_max, num_cells) -> int:
-        n = len(pos)
-        # Gap to the leader in ring order.  Positions are rotated, not
-        # sorted, so at most one difference is negative; one masked add
-        # folds it onto the ring (the floored modulo, for cells in
-        # [0, num_cells)).
-        if n == 1:
-            gaps_out[0] = num_cells - 1
-        else:
-            np.subtract(pos[1:], pos[:-1], out=gaps_out[:-1])
-            gaps_out[-1] = pos[0] - pos[-1]
-            gaps_out -= 1
-            np.add(gaps_out, num_cells, out=gaps_out, where=gaps_out < 0)
+        _ring_gaps(pos, num_cells, gaps_out)
         # Accelerate, brake to the gap, dawdle.  Dawdling is an unmasked
         # bool subtraction; only dawdlers pushed below zero clamp back to
         # it (a non-dawdler's negative velocity is an invariant
@@ -60,13 +65,10 @@ class VectorBackend(KernelBackend):
         return -1
 
     def cyclic_gaps(self, pos, num_cells) -> np.ndarray:
-        n = len(pos)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        if n == 1:
-            return np.array([num_cells - 1], dtype=np.int64)
-        leader = np.roll(pos, -1)
-        return (leader - pos - 1) % num_cells
+        gaps = np.empty(len(pos), dtype=np.int64)
+        if len(pos):
+            _ring_gaps(pos, num_cells, gaps)
+        return gaps
 
     # -- PHY link-cache rows -------------------------------------------------
 

@@ -9,6 +9,7 @@ truth.  ``local-supervised`` is the dir-queue backend over a private
 temporary directory, so these tests drive the queue protocol end to end.
 """
 
+import json
 import os
 import tempfile
 import time
@@ -16,9 +17,14 @@ import time
 import pytest
 
 from repro.core import registry
-from repro.core.backend import LocalProcessBackend, LocalSerialBackend
+from repro.core.backend import LocalSerialBackend
 from repro.core.chaos import ChaosMonkey
-from repro.core.distq import DirQueueBackend, LocalSupervisedBackend
+from repro.core.config import Scenario
+from repro.core.distq import (
+    RESPAWN_BUDGET_PER_WORKER,
+    DirQueueBackend,
+    LocalSupervisedBackend,
+)
 from repro.core.journal import (
     campaign_fingerprint,
     open_journal,
@@ -36,6 +42,11 @@ def _square(x):
 def _slow_square(x, delay_s):
     time.sleep(delay_s)
     return x * x
+
+
+def _sleep_then_return(seconds, value):
+    time.sleep(seconds)
+    return value
 
 
 def _specs(n=6):
@@ -60,25 +71,39 @@ def test_backend_namespace_registered():
     } <= names
 
 
-def test_auto_picks_serial_for_one_worker_and_pool_otherwise():
+def test_auto_picks_serial_for_one_worker_and_private_queue_otherwise():
     factory = registry.resolve("backend", "auto")
     assert isinstance(factory(TrialRunner(max_workers=1)), LocalSerialBackend)
-    assert isinstance(factory(TrialRunner(max_workers=3)), LocalProcessBackend)
+    assert type(factory(TrialRunner(max_workers=3))) is LocalSupervisedBackend
 
 
 def test_named_backends_resolve_to_their_classes():
     for name, cls in (
         ("local-serial", LocalSerialBackend),
-        ("local-process", LocalProcessBackend),
         ("local-supervised", LocalSupervisedBackend),
         ("dir-queue", DirQueueBackend),
     ):
         backend = registry.resolve("backend", name)(TrialRunner())
-        assert isinstance(backend, cls)
+        assert type(backend) is cls
         assert backend.name == name
-    # The historical name is the queue over a private directory.
+    # The historical names are the queue over a private directory.
     assert issubclass(LocalSupervisedBackend, DirQueueBackend)
     assert LocalSupervisedBackend.private
+    pool_name = registry.resolve("backend", "local-process")(TrialRunner())
+    assert type(pool_name) is LocalSupervisedBackend
+
+
+def test_local_process_scenario_keeps_its_spelling_and_fingerprint(tmp_path):
+    """Scenarios and journals saved under the retired pool's name load
+    byte-identically, so their campaign fingerprints do not move."""
+    expected = dict(Scenario().to_dict(), backend="local-process")
+    path = str(tmp_path / "pool.json")
+    Scenario(backend="Local-Process").save(path)
+    loaded = Scenario.load(path).to_dict()
+    assert json.dumps(loaded) == json.dumps(expected)
+    assert campaign_fingerprint(
+        kind="sweep", scenario=loaded, trials=2
+    ) == campaign_fingerprint(kind="sweep", scenario=expected, trials=2)
 
 
 def test_unknown_backend_rejected_at_construction():
@@ -264,8 +289,48 @@ def test_breaker_trip_completes_campaign_via_degradation():
     assert _values(outcomes) == TRUTH
     degraded = [e for e in telemetry.events if e.kind == "degraded"]
     assert len(degraded) == 1
-    assert degraded[0].detail.startswith("local-supervised->local-process")
+    assert degraded[0].detail.startswith("local-supervised->local-serial")
     assert "respawn budget" in degraded[0].detail
+
+
+def test_timeout_is_a_failed_attempt_not_a_death():
+    """An overrunning attempt is retried within ``max_attempts`` and
+    never charged to the death ledger, even with ``quarantine_after=1``."""
+    telemetry = CampaignTelemetry()
+    outcomes = TrialRunner(
+        max_workers=2,
+        backend="local-supervised",
+        trial_timeout_s=0.5,
+        max_attempts=2,
+        quarantine_after=1,
+        telemetry=telemetry,
+        chaos=ChaosMonkey(hang_on={1}),
+    ).run(_specs())
+    assert _values(outcomes) == TRUTH
+    assert outcomes[1].attempts == 2
+    assert telemetry.timeouts == 1 and telemetry.quarantined == 0
+
+
+def test_timeouts_do_not_spend_the_respawn_budget():
+    """Each timeout ends its worker; those respawns are free, so more
+    timeouts than the budget covers still finish on the queue."""
+    telemetry = CampaignTelemetry()
+    # One respawn per timeout but the last: budget + 1 respawns.
+    budget = RESPAWN_BUDGET_PER_WORKER  # for one worker
+    specs = [
+        TrialSpec(key=i, fn=_sleep_then_return, args=(5.0, i))
+        for i in range(budget + 2)
+    ]
+    outcomes = TrialRunner(
+        max_workers=1,
+        backend="local-supervised",
+        trial_timeout_s=0.2,
+        max_attempts=1,
+        telemetry=telemetry,
+    ).run(specs)
+    assert all(o.timed_out for o in outcomes)
+    assert telemetry.timeouts == budget + 2
+    assert telemetry.degradations == 0
 
 
 # -- journal integration ------------------------------------------------------

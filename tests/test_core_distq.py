@@ -505,7 +505,8 @@ def test_corrupt_result_drop_releases_claim_without_charging_deaths(tmp_path):
     live-but-heartbeatless: peers would reclaim it through the dead-owner
     path and charge a healthy worker to the death ledger — a few corrupt
     cycles could spuriously quarantine the trial.  The released claim
-    routes the reclaim down the no-death path instead."""
+    routes the reclaim down the no-death path instead; the corrupt
+    result counts as one failed attempt, like a raise."""
     root = str(tmp_path / "q")
     queue = _make_queue(root)
     tid = queue.enqueue(_task(2))
@@ -518,16 +519,35 @@ def test_corrupt_result_drop_releases_claim_without_charging_deaths(tmp_path):
         handle.write(b"\x80torn page")  # corrupt it on disk
     with pytest.raises(Exception):
         queue.read_result(tid)
-    queue.drop_result(tid)
+    queue.drop_result(tid, claim, "result could not be unpickled: torn")
     after = queue.read_claim(tid)
     assert after.released
     assert after.token == claim.token
-    assert after.attempt == claim.attempt  # infra fault: attempt not charged
+    assert after.attempt == claim.attempt + 1
+    assert [(f["attempt"], f["status"]) for f in queue.failures(tid)] == [
+        (1, "error"),
+    ]
     # The re-run takes the released path: no TTL wait, no death recorded.
     committed = run_worker_loop(root, poll_interval_s=0.02)
     assert committed == 1
     assert queue.read_result(tid)["value"] == 4
+    assert queue.read_result(tid)["attempts"] == 2
     assert queue.distinct_deaths(tid) == []
+
+
+def test_fenced_out_release_leaves_the_reclaimers_claim_alone(tmp_path):
+    queue = _make_queue(str(tmp_path / "q"))
+    tid = queue.enqueue(_task(2))
+    paused = queue.try_claim_fresh(tid, "paused:1:1")
+    reclaim = queue.try_takeover(tid, "reclaimer:2:1", paused)
+    queue.release(tid, paused, "ValueError: raised after the takeover")
+    assert queue.read_claim(tid) == reclaim
+    assert queue.failures(tid) == []
+    queue.commit_result(
+        tid, reclaim.owner, reclaim.token,
+        {"status": "ok", "value": 4, "attempts": 1, "wall_clock_s": 0.1},
+    )
+    assert queue.read_result(tid)["value"] == 4
 
 
 def test_clean_trial_errors_bounded_by_max_attempts(tmp_path):

@@ -1,9 +1,15 @@
-"""Trial-runner tests: ordering, failure paths, timeouts, retries, telemetry."""
+"""Trial-runner tests: ordering, failure paths, timeouts, retries, telemetry.
+
+With ``max_workers > 1`` the default ``auto`` backend runs the trials on
+the private-directory queue of :mod:`repro.core.distq`; with one worker
+it runs them in-process.
+"""
 
 import time
 
 import pytest
 
+from repro.core import distq
 from repro.core.runner import TrialRunner, TrialSpec, run_trials
 from repro.metrics.collector import CampaignTelemetry
 
@@ -112,7 +118,8 @@ def test_timeout_kills_and_reports():
     elapsed = time.monotonic() - started
     assert outcomes[0].ok and outcomes[0].value == "fast"
     assert not outcomes[1].ok
-    assert outcomes[1].timed_out
+    assert outcomes[1].timed_out and outcomes[1].infrastructure
+    assert outcomes[1].attempts == 1
     assert "trial_timeout_s" in outcomes[1].error
     assert elapsed < 10.0  # the stuck worker was terminated, not waited out
 
@@ -127,9 +134,12 @@ def test_timed_out_trial_is_retried():
         telemetry=telemetry,
     )
     assert outcomes[0].attempts == 2
-    assert outcomes[0].timed_out
+    assert outcomes[0].timed_out and outcomes[0].infrastructure
     assert telemetry.timeouts == 2
     assert telemetry.retries == 1
+    assert [(r.attempt, r.status) for r in telemetry.records] == [
+        (1, "timeout"), (2, "timeout"),
+    ]
 
 
 def test_retry_then_succeed(tmp_path):
@@ -155,19 +165,53 @@ def test_retry_then_succeed_serial(tmp_path):
 # -- degradation --------------------------------------------------------------
 
 
-def test_falls_back_to_serial_when_pool_unavailable(monkeypatch):
-    monkeypatch.setattr(TrialRunner, "_context", staticmethod(lambda: None))
-    outcomes = run_trials(_specs(4), max_workers=4)
+def _degradations(telemetry):
+    return [e.detail for e in telemetry.events if e.kind == "degraded"]
+
+
+def test_falls_back_to_serial_when_multiprocessing_unavailable(monkeypatch):
+    monkeypatch.setattr(distq, "_context", lambda: None)
+    telemetry = CampaignTelemetry()
+    outcomes = run_trials(_specs(4), max_workers=4, telemetry=telemetry)
     assert [o.value for o in outcomes] == [0, 1, 4, 9]
+    assert _degradations(telemetry) == [
+        "local-supervised->local-serial (4 trials: "
+        "multiprocessing unavailable)"
+    ]
+
+
+class _RefusingContext:
+    """A multiprocessing context whose processes cannot be started."""
+
+    class Process:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def start(self):
+            raise OSError("no more processes")
 
 
 def test_falls_back_to_serial_when_launch_fails(monkeypatch):
-    def refuse_launch(self, context, spec, index, attempt):
-        raise OSError("no more processes")
-
-    monkeypatch.setattr(TrialRunner, "_launch", refuse_launch)
-    outcomes = run_trials(_specs(3), max_workers=2)
+    monkeypatch.setattr(distq, "_context", _RefusingContext)
+    telemetry = CampaignTelemetry()
+    outcomes = run_trials(_specs(3), max_workers=2, telemetry=telemetry)
     assert [o.value for o in outcomes] == [0, 1, 4]
+    [detail] = _degradations(telemetry)
+    assert detail.startswith("local-supervised->local-serial")
+    assert "no more processes" in detail
+
+
+def test_closure_specs_run_serially():
+    captured = 5
+    telemetry = CampaignTelemetry()
+    outcomes = run_trials(
+        [TrialSpec(key=0, fn=lambda: captured * captured)],
+        max_workers=2,
+        telemetry=telemetry,
+    )
+    assert [o.value for o in outcomes] == [25]
+    [detail] = _degradations(telemetry)
+    assert "specs do not pickle" in detail
 
 
 # -- telemetry ----------------------------------------------------------------
@@ -226,18 +270,13 @@ def _return_unpicklable_result():
     return _PoisonOnUnpickle()
 
 
-def _die_after_send_once(marker_path, value):
-    """Succeed, but make the first attempt's worker exit nonzero *after*
-    the result has been sent (via a multiprocessing finalizer, which runs
-    during worker shutdown)."""
+def _exit_soon_after_returning(value):
+    """Succeed, then end the worker process with exit code 3 shortly
+    after its result has been committed."""
     import os
+    import threading
 
-    from multiprocessing import util
-
-    if not os.path.exists(marker_path):
-        with open(marker_path, "w") as handle:
-            handle.write("attempted")
-        util.Finalize(None, os._exit, args=(3,), exitpriority=100)
+    threading.Timer(0.3, os._exit, args=(3,)).start()
     return value
 
 
@@ -251,28 +290,33 @@ def test_unpicklable_result_counts_as_failed_attempt_and_retries():
         specs, max_workers=2, max_attempts=2, telemetry=telemetry
     )
     # The sibling trial is untouched; the poisoned one is a terminal
-    # failure after a real retry, not a pool crash or a spurious success.
+    # failure after a real retry, not a scheduler crash or a spurious
+    # success.
     assert outcomes[0].ok and outcomes[0].value == 16
-    assert not outcomes[1].ok
+    assert not outcomes[1].ok and outcomes[1].infrastructure
     assert outcomes[1].attempts == 2
-    assert "unpickled" in outcomes[1].error
+    assert outcomes[1].error.startswith("result could not be unpickled:")
     assert telemetry.retries == 1
     assert telemetry.trials_failed == 2  # both attempts of the poison trial
 
 
-def test_worker_death_after_result_send_is_retried(tmp_path):
+def test_worker_death_after_commit_keeps_the_committed_value():
+    """A result committed through the fence stands even if its worker
+    then exits with a failure code; the exit is reported, not retried."""
     telemetry = CampaignTelemetry()
-    marker = str(tmp_path / "attempted")
     outcomes = run_trials(
-        [TrialSpec(key="flaky", fn=_die_after_send_once, args=(marker, 7))],
+        [
+            TrialSpec(key="dies", fn=_exit_soon_after_returning, args=(7,)),
+            # Keeps the campaign running while the first worker dies.
+            TrialSpec(key="slow", fn=_sleep_then_return, args=(2.0, 8)),
+        ],
         max_workers=2,
         max_attempts=2,
         telemetry=telemetry,
     )
-    # Attempt 1 delivered a value but the worker exited nonzero: suspect,
-    # retried.  Attempt 2 succeeds cleanly.
-    assert outcomes[0].ok and outcomes[0].value == 7
-    assert outcomes[0].attempts == 2
-    assert telemetry.retries == 1
-    errors = [r.error for r in telemetry.records if r.error]
-    assert any("after sending its result" in e for e in errors)
+    assert [(o.value, o.attempts) for o in outcomes] == [(7, 1), (8, 1)]
+    assert telemetry.retries == 0
+    assert any(
+        e.kind == "worker-dead" and e.detail.endswith("exit code 3")
+        for e in telemetry.events
+    )

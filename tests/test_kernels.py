@@ -310,6 +310,20 @@ def test_removed_cjit_state_dict_loads(fresh_backends):
     assert restored.velocities.tolist() == model.velocities.tolist()
 
 
+def test_removed_name_warning_points_at_the_caller(fresh_backends):
+    """The warning names the first frame outside the package — here,
+    this test — not the resolver that happened to read the old name."""
+    for load in (
+        lambda: resolve_backend("cjit"),
+        lambda: NagelSchreckenberg(
+            num_cells=20, num_vehicles=5, p=0.0,
+            rng=np.random.default_rng(0), kernels="numba",
+        ),
+    ):
+        with pytest.warns(RuntimeWarning) as caught:
+            load()
+        assert caught[0].filename == __file__
+
 def test_removed_cjit_scenario_file_keeps_its_fingerprint(tmp_path):
     """A saved ``kernels="cjit"`` scenario loads unchanged, so journals
     fingerprinted from it still resume."""
