@@ -6,17 +6,18 @@ guarantees.  Every leg runs a small fault-injected campaign through real
 failures and requires the outcome to be *bit-identical* to the same
 campaign run serially and undisturbed:
 
-* ``sigkill``, ``hang``, ``corrupt`` — a worker SIGKILLed after
-  computing, a worker hanging past ``trial_timeout_s``, a result payload
-  that explodes while unpickling; on both queue backends
-  (``local-supervised``, ``dir-queue``);
-* ``mute`` — a worker alive but silent (no heartbeats) is caught after
-  one lease TTL; ``contention`` — a foreign claim is waited out and taken
-  over, the trial runs exactly once;
+* on both queue backends (``local-supervised``, ``dir-queue``):
+  ``sigkill`` — a worker SIGKILLed after computing; ``hang`` — a worker
+  hanging past ``trial_timeout_s`` is timed out and retried;
+  ``corrupt`` — a result payload that explodes while unpickling is
+  retried; ``mute`` — a worker alive but silent (no heartbeats) is
+  caught after one lease TTL; ``contention`` — a foreign claim is
+  waited out and taken over, the trial runs exactly once;
 * ``stale-fence`` — a fenced-out worker's late commit is rejected with
   evidence, the rightful holder's commit lands;
-* ``scheduler-kill`` — a ``repro serve`` scheduler SIGKILLed mid-job is
-  restarted and finishes from the spool and journal alone;
+* ``campaign-kill`` — the scheduler process of a journalled
+  ``dir-queue`` sweep SIGKILLed mid-campaign is rerun with ``resume`` and
+  finishes from the queue and journal alone;
 * ``read-only`` — a queue dir that stops being writable degrades the
   campaign down the ladder (a shared ``dir-queue`` to a private queue,
   a private queue to ``local-serial``);
@@ -59,12 +60,6 @@ from repro.core.journal import (
     read_lease_state,
 )
 from repro.core.runner import TrialRunner, TrialSpec
-from repro.core.serve import (
-    decode_result_value,
-    serve_spool,
-    submit_job,
-    tail_results,
-)
 from repro.core.sweep import sweep_scenario
 from repro.metrics.collector import CampaignTelemetry
 from repro.util.errors import StaleLeaseError
@@ -250,62 +245,48 @@ def _is_trial_record(line):
         return False  # torn tail mid-poll
 
 
-def leg_scheduler_kill(ctx):
-    spool = str(ctx["workdir"] / "spool")
-    envelope = {"scenario": BASE.to_dict(), "field": "num_nodes",
-                "values": [10, 12], "trials": 2, "max_workers": 2}
-    name = submit_job(spool, dict(envelope))
-    job_dir = os.path.join(spool, "jobs", name)
-    journal_path = os.path.join(job_dir, "journal.jsonl")
-    done_marker = os.path.join(job_dir, "done")
-
-    scheduler = multiprocessing.get_context("fork").Process(
-        target=serve_spool, args=(spool,), kwargs={"once": True}
+def leg_campaign_kill(ctx):
+    journal = str(ctx["workdir"] / "campaign-kill.jsonl")
+    base = dataclasses.replace(
+        BASE, backend="dir-queue",
+        queue_dir=str(ctx["workdir"] / "campaign-kill-queue"),
     )
-    scheduler.start()
-    # SIGKILL the scheduler once one trial is journalled and the job is
-    # still unfinished — the exact crash window a resume must cover.
+    sweep = dict(SWEEP, base=base, max_workers=2, journal_path=journal)
+    campaign = multiprocessing.get_context("fork").Process(
+        target=sweep_scenario, kwargs=sweep
+    )
+    campaign.start()
+    # SIGKILL the campaign's scheduler once one trial is journalled and
+    # the sweep is still running — the exact crash window a resume must
+    # cover.
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
-        if os.path.exists(done_marker):
+        if not campaign.is_alive():
             break
         try:
-            with open(journal_path, "r", encoding="utf-8") as handle:
+            with open(journal, "r", encoding="utf-8") as handle:
                 if any(_is_trial_record(line) for line in handle):
                     break
         except OSError:
             pass
         time.sleep(0.05)
     else:
-        raise LegFailed("the scheduler never journalled a trial")
-    killed_midway = not os.path.exists(done_marker)
-    os.kill(scheduler.pid, signal.SIGKILL)
-    scheduler.join(timeout=30)
-    if not killed_midway:
-        # The job outran the kill window; resubmitting still proves the
-        # restart path — everything must come back from the journal.
-        submit_job(spool, dict(envelope))
+        raise LegFailed("the campaign never journalled a trial")
+    killed_midway = campaign.is_alive()
+    os.kill(campaign.pid, signal.SIGKILL)
+    campaign.join(timeout=30)
+    # When the sweep outran the kill window the rerun still proves the
+    # restart path: everything must come back from the journal.
+    check(killed_midway or campaign.exitcode == 0,
+          f"the campaign died on its own (exit {campaign.exitcode})")
 
     telemetry = CampaignTelemetry()
-    check(serve_spool(spool, once=True, telemetry=telemetry) == 1,
-          "the restarted scheduler did not pick up the dead job")
+    resumed = sweep_scenario(**sweep, resume=True, telemetry=telemetry)
     check(not killed_midway or telemetry.trials_resumed >= 1,
-          "the restarted scheduler re-ran journalled trials")
-    check(os.path.exists(done_marker), "the resumed job never finished")
-    with open(done_marker, "r", encoding="utf-8") as handle:
-        summary = json.load(handle)
-    check(summary["ok"] == 4 and summary["failed"] == 0,
-          f"resumed job summary wrong: {summary}")
-    records = list(tail_results(job_dir, follow=False))
-    keys = [tuple(r["key"]) for r in records]
-    check(len(keys) == len(set(keys)) == 4,
-          f"results stream not duplicate-free: {sorted(keys)}")
-    served = {tuple(r["key"]): fingerprint_of([decode_result_value(r)])[0]
-              for r in records}
-    serial = {(point.value, trial): fingerprint_of([result])[0]
-              for point in sweep_scenario(**SWEEP).points
-              for trial, result in enumerate(point.results)}
-    check(served == serial, "served campaign differs from a serial sweep")
+          "the rerun resumed nothing from the journal")
+    truth = sweep_fingerprint(sweep_scenario(**SWEEP))
+    check(sweep_fingerprint(resumed) == truth,
+          "the resumed campaign differs from a serial sweep")
 
 
 def leg_read_only(ctx, backend):
@@ -450,7 +431,7 @@ LEGS = [
     *[(f"mute[{b}]", leg_mute, b) for b in QUEUES],
     *[(f"contention[{b}]", leg_contention, b) for b in QUEUES],
     ("stale-fence", leg_stale_fence, None),
-    ("scheduler-kill", leg_scheduler_kill, None),
+    ("campaign-kill", leg_campaign_kill, None),
     *[(f"read-only[{b}]", leg_read_only, b) for b in QUEUES],
     ("torn-journal", leg_torn_journal, None),
     ("journalled-failure", leg_journalled_failure, None),

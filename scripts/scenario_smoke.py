@@ -34,7 +34,8 @@ def _cli(*argv: str) -> str:
 
 
 def main_smoke() -> None:
-    # 1. The components listing covers all five namespaces.
+    # 1. The components listing names the five namespaces a scenario is
+    #    built from, and one builtin in each.
     listing = _cli("components")
     for kind in ("propagation", "routing", "mobility", "traffic", "boundary"):
         assert kind in listing, f"`repro components` misses {kind}"

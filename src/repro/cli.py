@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Eleven commands cover the everyday uses of the tool:
+Nine commands cover the everyday uses of the tool:
 
 * ``run``         — one network scenario, printed metrics;
 * ``compare``     — several protocols over the same mobility (Fig. 11);
@@ -10,11 +10,8 @@ Eleven commands cover the everyday uses of the tool:
 * ``spacetime``   — an ASCII space-time diagram (Fig. 5);
 * ``components``  — list every registered component, per namespace;
 * ``journal``     — ``inspect`` or ``compact`` a trial journal file;
-* ``serve``       — run the crash-safe campaign scheduler over a spool
-  directory (job envelopes in, incremental results out);
-* ``worker``      — drain dir-queue campaigns under a queue or spool
-  directory (run one per host sharing the directory);
-* ``attach``      — tail a served job's incremental per-trial results.
+* ``worker``      — drain a dir-queue campaign's queue directory (run
+  one per host sharing the directory).
 
 Scenario-taking commands (``run``, ``compare``, ``sweep``, ``trace``)
 accept ``--scenario FILE`` to load a declarative scenario saved by
@@ -187,53 +184,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser(
         "components",
-        help="list every registered component (propagation, routing, "
-        "mobility, traffic, boundary, fault, spatial, kernels, backend, "
-        "tech, effect, queue)",
-    )
-
-    serve = commands.add_parser(
-        "serve",
-        help="run the crash-safe campaign scheduler over a spool "
-        "directory (kill it any time; it resumes from the journals)",
-    )
-    serve.add_argument("spool", help="spool directory (created if absent)")
-    serve.add_argument(
-        "--once",
-        action="store_true",
-        help="one scheduling pass (recover interrupted jobs, drain "
-        "what is queued now) instead of polling forever",
-    )
-    serve.add_argument(
-        "--poll",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="idle sleep between spool scans (default 0.2)",
-    )
-    serve.add_argument(
-        "--submit",
-        default=None,
-        metavar="FILE",
-        help="first drop this job-envelope JSON file ('-' for stdin) "
-        "into the spool, then schedule",
+        help="list every registered component, per namespace",
     )
 
     worker = commands.add_parser(
         "worker",
-        help="drain dir-queue campaigns under a queue or spool directory "
+        help="drain a dir-queue campaign's queue directory "
         "(run one per host sharing the directory)",
     )
-    worker.add_argument(
-        "root",
-        help="a campaign's --queue-dir, or a serve spool directory "
-        "(then every job's queue is served as it appears)",
-    )
+    worker.add_argument("root", help="a campaign's --queue-dir")
     worker.add_argument(
         "--follow",
         action="store_true",
-        help="keep polling for new queues after draining the current "
-        "ones (serve mode) instead of exiting when drained",
+        help="wait for the queue to appear and keep draining it instead "
+        "of exiting when drained",
     )
     worker.add_argument(
         "--poll",
@@ -249,33 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         dest="max_trials",
         help="exit after committing N trials (default: unlimited)",
-    )
-
-    attach = commands.add_parser(
-        "attach",
-        help="tail a served job's incremental per-trial results",
-    )
-    attach.add_argument("spool", help="the scheduler's spool directory")
-    attach.add_argument(
-        "--job",
-        default=None,
-        metavar="ID",
-        help="job id under the spool's jobs/ directory (default: the "
-        "only job, when exactly one exists)",
-    )
-    attach.add_argument(
-        "--no-follow",
-        action="store_true",
-        dest="no_follow",
-        help="print the records available now and exit instead of "
-        "following until the job finishes",
-    )
-    attach.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="give up (exit 2) after this long following an idle job",
     )
 
     journal = commands.add_parser(
@@ -938,39 +875,6 @@ def _cmd_journal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.serve import serve_spool, submit_job
-    from repro.metrics.collector import CampaignTelemetry
-
-    if args.submit is not None:
-        if args.submit == "-":
-            raw = json.load(sys.stdin)
-        else:
-            with open(args.submit, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        name = submit_job(args.spool, raw)
-        print(f"submitted job {name}", file=sys.stderr)
-    telemetry = CampaignTelemetry()
-    try:
-        ran = serve_spool(
-            args.spool,
-            once=args.once,
-            telemetry=telemetry,
-            poll_interval_s=args.poll,
-        )
-    except KeyboardInterrupt:
-        # Mid-job state is already durable (journal + queue); a restarted
-        # scheduler resumes it, so an interrupt is a clean shutdown here.
-        print(f"\ninterrupted ({_interrupt_signal}); jobs resume on the "
-              "next `repro serve` over this spool", file=sys.stderr)
-        return (
-            EXIT_TERMINATED if _interrupt_signal == "SIGTERM"
-            else EXIT_INTERRUPTED
-        )
-    print(f"{ran} job(s) finished; {telemetry.format_summary()}")
-    return 0
-
-
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.core.distq import run_worker_loop
 
@@ -991,42 +895,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         )
     print(f"worker drained: {committed} trial(s) committed",
           file=sys.stderr)
-    return 0
-
-
-def _cmd_attach(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.core.serve import tail_results
-    from repro.util.errors import ConfigError
-
-    jobs_dir = os.path.join(args.spool, "jobs")
-    job = args.job
-    if job is None:
-        try:
-            candidates = sorted(os.listdir(jobs_dir))
-        except OSError:
-            candidates = []
-        if len(candidates) != 1:
-            raise ConfigError(
-                f"--job required: spool holds {len(candidates)} job(s) "
-                f"({', '.join(candidates) or 'none'})"
-            )
-        job = candidates[0]
-    job_dir = os.path.join(jobs_dir, job)
-    try:
-        for record in tail_results(
-            job_dir,
-            follow=not args.no_follow,
-            timeout_s=args.timeout,
-        ):
-            print(json.dumps(record, sort_keys=True), flush=True)
-    except KeyboardInterrupt:
-        print(f"\ninterrupted ({_interrupt_signal})", file=sys.stderr)
-        return (
-            EXIT_TERMINATED if _interrupt_signal == "SIGTERM"
-            else EXIT_INTERRUPTED
-        )
     return 0
 
 
@@ -1056,9 +924,7 @@ _COMMANDS = {
     "spacetime": _cmd_spacetime,
     "components": _cmd_components,
     "journal": _cmd_journal,
-    "serve": _cmd_serve,
     "worker": _cmd_worker,
-    "attach": _cmd_attach,
 }
 
 

@@ -6,8 +6,8 @@ describes the road, traffic and protocol; :class:`CavenetSimulation` runs
 the CA mobility, turns it into a trace, replays the trace under the network
 stack and returns a :class:`SimulationResult`; :mod:`repro.core.experiment`
 sweeps protocols and parameters for the evaluation figures;
-:mod:`repro.core.registry` is the component seam every name (propagation,
-routing, mobility, traffic, boundary) resolves through.
+:mod:`repro.core.registry` is the component seam every component name
+resolves through, one namespace per kind (``registry.KINDS``).
 
 Exports are lazy (PEP 562, like :mod:`repro` itself) so that leaf modules
 — :mod:`repro.phy.propagation`, :mod:`repro.routing`,

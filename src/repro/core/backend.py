@@ -46,8 +46,8 @@ class ExecutionBackend:
     """Contract: run a dense spec list, return outcomes in dense indices.
 
     Backends borrow the runner's low-level mechanics (``_run_serial``,
-    ``_record``, ``_emit``) rather than reimplementing them, so tests
-    that monkeypatch those methods govern every backend uniformly.
+    ``_record``) rather than reimplementing them, so tests that
+    monkeypatch those methods govern every backend uniformly.
     """
 
     #: Registry name, set by each subclass.

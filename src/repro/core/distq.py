@@ -926,28 +926,6 @@ def _run_claimed(
     settle(record)
 
 
-def _discover_queues(root: str) -> List[str]:
-    """Queue roots under ``root``: itself, or ``jobs/*/queue`` children.
-
-    This is what lets one ``repro worker --follow`` serve every job a
-    ``repro serve`` spool ever creates: point it at the spool directory
-    and it picks up each job's queue as the scheduler materialises it.
-    """
-    if os.path.exists(os.path.join(root, "manifest.json")):
-        return [root]
-    jobs = os.path.join(root, "jobs")
-    found = []
-    try:
-        names = sorted(os.listdir(jobs))
-    except OSError:
-        return []
-    for name in names:
-        candidate = os.path.join(jobs, name, "queue")
-        if os.path.exists(os.path.join(candidate, "manifest.json")):
-            found.append(candidate)
-    return found
-
-
 def run_worker_loop(
     root: str,
     owner: Optional[str] = None,
@@ -955,105 +933,99 @@ def run_worker_loop(
     follow: bool = False,
     max_trials: Optional[int] = None,
 ) -> int:
-    """Drain queue(s) under ``root``; the ``repro worker`` entry point.
+    """Drain the queue at ``root``; the ``repro worker`` entry point.
 
     Claims trials one at a time, runs them under heartbeats, commits
     through the fence.  Returns the number of trials this worker
     *committed* (results it actually landed; fenced-out and released
-    attempts do not count).  Without ``follow`` the loop exits once every
-    discovered queue is drained; with it, the loop keeps polling for new
-    queues forever (serve mode) — send SIGTERM/SIGINT to stop.
+    attempts do not count).  Without ``follow`` the loop exits once the
+    queue is drained, or at once when ``root`` holds no queue; with it,
+    the loop waits for the queue to appear and keeps draining it forever
+    — send SIGTERM/SIGINT to stop.
 
     ``max_trials`` is a test hook bounding how many commits this worker
     will make before returning.
     """
     me = owner or worker_identity()
     committed = 0
-    observers: Dict[str, LeaseObserver] = {}
+    observer: Optional[LeaseObserver] = None
+    manifest_path = os.path.join(root, "manifest.json")
     while True:
-        queues = _discover_queues(root)
-        if not queues and not follow:
-            return committed  # nothing to serve (and never will be)
+        manifest = DirQueue._read_json(manifest_path)
+        if manifest is None:
+            if not follow:
+                return committed  # no queue here (and never will be)
+            time.sleep(poll_interval_s)
+            continue
+        queue = DirQueue(
+            root,
+            ttl_s=float(manifest.get("ttl_s", 30.0)),
+            quarantine_after=int(
+                manifest.get("quarantine_after", DEFAULT_QUARANTINE_AFTER)
+            ),
+            max_attempts=int(manifest.get("max_attempts", 2)),
+        )
+        if observer is None:
+            observer = LeaseObserver(queue.ttl_s)
+        heartbeat_s = float(
+            manifest.get("heartbeat_s", max(0.01, queue.ttl_s / 5.0))
+        )
+        timeout_s = manifest.get("trial_timeout_s")
+        timeout_s = None if timeout_s is None else float(timeout_s)
         progressed = False
-        all_drained = bool(queues)
-        for queue_root in queues:
-            manifest = DirQueue._read_json(
-                os.path.join(queue_root, "manifest.json")
-            )
-            if manifest is None:
+        drained = True
+        for tid in queue.task_ids():
+            if queue.has_result(tid) or queue.has_quarantine(tid):
                 continue
-            queue = DirQueue(
-                queue_root,
-                ttl_s=float(manifest.get("ttl_s", 30.0)),
-                quarantine_after=int(
-                    manifest.get(
-                        "quarantine_after", DEFAULT_QUARANTINE_AFTER
-                    )
-                ),
-                max_attempts=int(manifest.get("max_attempts", 2)),
-            )
-            observer = observers.setdefault(
-                queue_root, LeaseObserver(queue.ttl_s)
-            )
-            heartbeat_s = float(
-                manifest.get("heartbeat_s", max(0.01, queue.ttl_s / 5.0))
-            )
-            timeout_s = manifest.get("trial_timeout_s")
-            timeout_s = None if timeout_s is None else float(timeout_s)
-            for tid in queue.task_ids():
-                if queue.has_result(tid) or queue.has_quarantine(tid):
+            drained = False
+            claim = queue.read_claim(tid)
+            won: Optional[ClaimState] = None
+            try:
+                if claim is None:
+                    won = queue.try_claim_fresh(tid, me)
+                elif claim is CLAIM_IN_FLUX:
                     continue
-                all_drained = False
-                claim = queue.read_claim(tid)
-                won: Optional[ClaimState] = None
-                try:
-                    if claim is None:
-                        won = queue.try_claim_fresh(tid, me)
-                    elif claim is CLAIM_IN_FLUX:
-                        continue
-                    elif claim.released:
-                        won = queue.try_takeover(tid, me, claim)
-                        if won is None:
-                            # Lost the race for the next generation — or
-                            # its winner died before rewriting the claim
-                            # (the orphaned marker would collide forever).
-                            # After a full TTL of frozen signature, skip
-                            # past whatever it left behind.
-                            signature = queue.claim_signature(tid, claim)
-                            if observer.expired(tid, signature):
-                                won = queue.try_takeover(
-                                    tid, me, claim, skip_orphans=True
-                                )
-                                observer.forget(tid)
-                    elif claim.owner != me:
+                elif claim.released:
+                    won = queue.try_takeover(tid, me, claim)
+                    if won is None:
+                        # Lost the race for the next generation — or
+                        # its winner died before rewriting the claim
+                        # (the orphaned marker would collide forever).
+                        # After a full TTL of frozen signature, skip
+                        # past whatever it left behind.
                         signature = queue.claim_signature(tid, claim)
                         if observer.expired(tid, signature):
                             won = queue.try_takeover(
-                                tid, me, claim, dead_owner=claim.owner,
-                                skip_orphans=True,
+                                tid, me, claim, skip_orphans=True
                             )
                             observer.forget(tid)
-                    else:
-                        # Our own live claim with no result can only mean
-                        # a previous incarnation — identities are unique
-                        # per incarnation, so a peer will reclaim it.
-                        continue
-                except OSError:
-                    continue  # queue briefly unreadable/unwritable
-                if won is None:
+                elif claim.owner != me:
+                    signature = queue.claim_signature(tid, claim)
+                    if observer.expired(tid, signature):
+                        won = queue.try_takeover(
+                            tid, me, claim, dead_owner=claim.owner,
+                            skip_orphans=True,
+                        )
+                        observer.forget(tid)
+                else:
+                    # Our own live claim with no result can only mean
+                    # a previous incarnation — identities are unique
+                    # per incarnation, so a peer will reclaim it.
                     continue
-                task = queue.read_task(tid)
-                if task is None:
-                    continue
-                progressed = True
-                _run_claimed(
-                    queue, tid, task, won, me, heartbeat_s, timeout_s
-                )
-                if queue.has_result(tid):
-                    committed += 1
-                    if max_trials is not None and committed >= max_trials:
-                        return committed
-        if all_drained and not follow:
+            except OSError:
+                continue  # queue briefly unreadable/unwritable
+            if won is None:
+                continue
+            task = queue.read_task(tid)
+            if task is None:
+                continue
+            progressed = True
+            _run_claimed(queue, tid, task, won, me, heartbeat_s, timeout_s)
+            if queue.has_result(tid):
+                committed += 1
+                if max_trials is not None and committed >= max_trials:
+                    return committed
+        if drained and not follow:
             return committed
         if not progressed:
             time.sleep(poll_interval_s)
@@ -1513,12 +1485,10 @@ class DirQueueBackend(ExecutionBackend):
             runner._record(key, attempts, "ok", wall)
             if journal is not None:
                 journal.record_success(key, value, attempts, wall)
-            outcome = TrialOutcome(
+            return TrialOutcome(
                 key=key, index=index, value=value, attempts=attempts,
                 wall_clock_s=wall,
             )
-            runner._emit(outcome)
-            return outcome
         if status == "quarantined":
             owners = list(record.get("owners", ()))
             traceback_text = record.get("traceback", "")
@@ -1685,6 +1655,3 @@ def make_auto(runner: TrialRunner) -> ExecutionBackend:
     return LocalSupervisedBackend(runner)
 
 
-@register("queue", "dir")
-def make_dir(root: str, **options: Any) -> DirQueue:
-    return DirQueue(root, **options)

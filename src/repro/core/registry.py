@@ -8,7 +8,7 @@ makes every such choice pluggable: a generic registry with one namespace
 per component *kind*, a :func:`register` decorator, and case-insensitive
 name resolution that fails with the live list of known choices.
 
-Twelve kinds exist (:data:`KINDS`):
+Eleven kinds exist (:data:`KINDS`):
 
 ``propagation``
     ``factory(scenario, streams) -> PropagationModel`` (see
@@ -56,12 +56,6 @@ Twelve kinds exist (:data:`KINDS`):
     **options) -> ChannelEffect`` (see :mod:`repro.phy.effects`),
     declared per scenario via ``Scenario.effects`` and applied as an
     ordered stack to every link's receive power.
-``queue``
-    Durable job-queue factories, ``factory(root, **options) ->
-    DirQueue`` (see :mod:`repro.core.distq`) — the shared-directory
-    coordination substrate the ``dir-queue`` execution backend and
-    ``repro serve``/``repro worker`` schedule trials through (atomic
-    claims, fencing tokens, quarantine).
 
 Built-in implementations register themselves at import time of their home
 module; the registry imports those modules lazily on first lookup, so
@@ -100,7 +94,6 @@ KINDS: Tuple[str, ...] = (
     "backend",
     "tech",
     "effect",
-    "queue",
 )
 
 #: What a name in each namespace denotes — used in error messages so an
@@ -118,7 +111,6 @@ _NOUNS: Dict[str, str] = {
     "backend": "execution backend",
     "tech": "tech profile",
     "effect": "channel effect",
-    "queue": "job queue",
 }
 
 #: Modules whose import registers the built-in entries of each kind.
@@ -137,7 +129,6 @@ _BUILTIN_MODULES: Dict[str, Tuple[str, ...]] = {
     "backend": ("repro.core.backend", "repro.core.distq"),
     "tech": ("repro.phy.tech",),
     "effect": ("repro.phy.effects",),
-    "queue": ("repro.core.distq",),
 }
 
 

@@ -39,13 +39,9 @@ filtering, telemetry, the serial path — and delegates execution itself.
 from __future__ import annotations
 
 import dataclasses
-import queue as queue_module
-import threading
 import time
 import traceback
-from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import registry as _registry
 from repro.core.journal import TrialJournal, trial_key_id
@@ -144,11 +140,6 @@ class TrialRunner:
         quarantine_after: dir-queue backend only — distinct workers one
             trial may kill before it is parked in quarantine instead of
             being reclaimed again.
-        on_outcome: optional streaming callback, called with each
-            :class:`TrialOutcome` exactly once per trial key as results
-            become available (successes eagerly, failures when the
-            campaign settles them; resumed trials immediately).  This is
-            the push half of :meth:`stream`.
         chaos: TEST-ONLY failure injector (a
             :class:`repro.core.chaos.ChaosMonkey`).  Its plan rides in
             each queued task; sabotaged attempts run the real trial and
@@ -172,7 +163,6 @@ class TrialRunner:
         heartbeat_interval_s: Optional[float] = None,
         queue_dir: Optional[str] = None,
         quarantine_after: int = 3,
-        on_outcome: Optional[Callable[[TrialOutcome], None]] = None,
     ) -> None:
         if max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
@@ -205,8 +195,6 @@ class TrialRunner:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.queue_dir = None if queue_dir is None else str(queue_dir)
         self.quarantine_after = int(quarantine_after)
-        self.on_outcome = on_outcome
-        self._emitted: set = set()
 
     # -- public API ---------------------------------------------------------
 
@@ -230,7 +218,6 @@ class TrialRunner:
         specs = list(specs)
         if not specs:
             return []
-        self._emitted = set()
         outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
         fresh: List[Tuple[int, TrialSpec]] = []
         if journal is not None:
@@ -247,7 +234,6 @@ class TrialRunner:
                         wall_clock_s=entry.wall_clock_s,
                     )
                     self._record(spec.key, entry.attempts, "resumed", 0.0)
-                    self._emit(outcomes[index])
                 elif parked is not None:
                     outcomes[index] = TrialOutcome(
                         key=spec.key,
@@ -279,62 +265,7 @@ class TrialRunner:
             ):
                 index = fresh[outcome.index][0]
                 outcomes[index] = dataclasses.replace(outcome, index=index)
-        # Flush anything a backend did not emit eagerly (failures,
-        # quarantines, serial-rescue re-runs); _emit dedupes by key, so
-        # eagerly streamed successes are not repeated.
-        for outcome in outcomes:
-            if outcome is not None:
-                self._emit(outcome)
         return [outcome for outcome in outcomes if outcome is not None]
-
-    def stream(
-        self,
-        specs: Sequence[TrialSpec],
-        journal: Optional[TrialJournal] = None,
-    ) -> Iterator[TrialOutcome]:
-        """Run the campaign, yielding each outcome as it becomes available.
-
-        The pull half of the streaming API: :meth:`run` executes on a
-        worker thread while this generator yields outcomes in completion
-        order (successes as backends commit them, failures when they
-        settle) — each trial key exactly once.  Any exception the run
-        raises is re-raised here after the in-flight outcomes have been
-        drained.  Not reentrant: one ``stream``/``run`` per runner at a
-        time.
-        """
-        feed: "queue_module.Queue" = queue_module.Queue()
-        done = object()
-        caller_callback = self.on_outcome
-
-        def push(outcome: TrialOutcome) -> None:
-            if caller_callback is not None:
-                caller_callback(outcome)
-            feed.put(outcome)
-
-        state: Dict[str, Any] = {}
-
-        def work() -> None:
-            try:
-                state["outcomes"] = self.run(specs, journal)
-            except BaseException as exc:  # re-raised on the caller's side
-                state["error"] = exc
-            finally:
-                feed.put(done)
-
-        self.on_outcome = push
-        thread = threading.Thread(target=work, daemon=True)
-        thread.start()
-        try:
-            while True:
-                item = feed.get()
-                if item is done:
-                    break
-                yield item
-        finally:
-            thread.join()
-            self.on_outcome = caller_callback
-        if "error" in state:
-            raise state["error"]
 
     # -- serial path --------------------------------------------------------
 
@@ -361,15 +292,13 @@ class TrialRunner:
             self._record(spec.key, attempt, "ok", elapsed)
             if journal is not None:
                 journal.record_success(spec.key, value, attempt, elapsed)
-            outcome = TrialOutcome(
+            return TrialOutcome(
                 key=spec.key,
                 index=index,
                 value=value,
                 attempts=attempt,
                 wall_clock_s=elapsed,
             )
-            self._emit(outcome)
-            return outcome
         if journal is not None:
             journal.record_failure(spec.key, error or "", self.max_attempts)
         return TrialOutcome(
@@ -397,25 +326,6 @@ class TrialRunner:
         """Forward one supervision event to telemetry (if attached)."""
         if self.telemetry is not None:
             self.telemetry.record_event(kind, key=key, detail=detail)
-
-    # -- streaming ----------------------------------------------------------
-
-    def _emit(self, outcome: TrialOutcome) -> None:
-        """Push one outcome to the streaming callback, once per key.
-
-        Backends call this eagerly for successes; :meth:`run` flushes
-        everything else at the end.  Dedupe by key identity is what makes
-        both safe: degradation ladders re-run trials, and a re-run of an
-        already-emitted key must not reach the consumer twice.  The
-        outcome's ``index`` may still be dense (backend-relative) when
-        emitted eagerly — streaming consumers identify trials by key.
-        """
-        key_id = trial_key_id(outcome.key)
-        if key_id in self._emitted:
-            return
-        self._emitted.add(key_id)
-        if self.on_outcome is not None:
-            self.on_outcome(outcome)
 
 
 def run_trials(

@@ -3,7 +3,8 @@
 Routing and MAC behaviour is easiest to verify on hand-placed, motionless
 topologies (a chain, a star, a partitioned pair).  ``build_network`` wires
 the full stack — DES, channel, radios, MACs, nodes, routing — over fixed
-positions.
+positions.  ``make_queue``/``queue_task`` build a claim-file job queue
+by hand for the queue-protocol and ``repro worker`` tests.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.distq import DirQueue
 from repro.des.engine import Simulator
 from repro.mac.params import Mac80211Params
 from repro.metrics.collector import MetricsCollector
@@ -99,3 +101,37 @@ class TestNetwork:
 def chain_coords(n: int, spacing: float = 200.0) -> List[Tuple[float, float]]:
     """``n`` nodes in a line, ``spacing`` metres apart (multi-hop at 250 m)."""
     return [(i * spacing, 0.0) for i in range(n)]
+
+
+def square(x):
+    """A module-level trial function, so queued tasks pickle."""
+    return x * x
+
+
+def make_queue(root, ttl_s=30.0, quarantine_after=3, max_attempts=2):
+    """A set-up :class:`DirQueue` at ``root`` with a test manifest."""
+    queue = DirQueue(
+        str(root),
+        ttl_s=ttl_s,
+        quarantine_after=quarantine_after,
+        max_attempts=max_attempts,
+    )
+    queue.setup({"fingerprint": "test-fp", "ttl_s": ttl_s,
+                 "quarantine_after": quarantine_after,
+                 "max_attempts": max_attempts,
+                 "heartbeat_s": max(0.01, ttl_s / 5.0),
+                 "trial_timeout_s": None})
+    return queue
+
+
+def queue_task(key, fn=square, args=None):
+    """One queued trial computing ``fn(key)`` unless ``args`` are given."""
+    return {
+        "key": key,
+        "fn": fn,
+        "args": (key,) if args is None else args,
+        "kwargs": {},
+        "index": 0,
+        "chaos_mode": None,
+        "kill_all": False,
+    }

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from helpers import make_queue, queue_task
+
 SMALL = [
     "--nodes", "10",
     "--road", "1000",
@@ -129,6 +131,14 @@ def test_negative_workers_rejected():
 def test_parser_requires_command(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+@pytest.mark.parametrize("command", ["serve", "attach"])
+def test_retired_campaign_commands_are_unknown(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_unknown_propagation_is_config_error_exit_2(capsys):
@@ -341,46 +351,17 @@ def test_journal_inspect_missing_file_is_typed_error(tmp_path, capsys):
     assert "error (" in capsys.readouterr().err
 
 
-def test_serve_submit_run_and_attach_roundtrip(tmp_path, capsys):
-    from repro.core.config import Scenario
+def test_worker_drains_a_queue_dir(tmp_path, capsys):
+    root = tmp_path / "q"
+    queue = make_queue(root)
+    tids = [queue.enqueue(queue_task(key)) for key in (2, 3)]
+    assert main(["worker", str(root)]) == 0
+    assert "2 trial(s) committed" in capsys.readouterr().err
+    assert [queue.read_result(tid)["value"] for tid in tids] == [4, 9]
 
-    spool = str(tmp_path / "spool")
-    envelope = str(tmp_path / "job.json")
-    scenario = Scenario(
-        num_nodes=8, sim_time_s=10.0, senders=(1, 2), seed=3,
-        traffic_start_s=1.0, traffic_stop_s=8.0,
-    )
-    with open(envelope, "w") as handle:
-        json.dump(
-            {"scenario": scenario.to_dict(), "field": "num_nodes",
-             "values": [8, 10], "trials": 1, "max_workers": 2},
-            handle,
-        )
-    assert main(["serve", spool, "--once", "--submit", envelope]) == 0
-    out = capsys.readouterr().out
-    assert "1 job(s) finished" in out
-
-    assert main(["attach", spool, "--no-follow"]) == 0
-    lines = [
-        json.loads(line)
-        for line in capsys.readouterr().out.splitlines() if line
-    ]
-    assert sorted(tuple(r["key"]) for r in lines) == [(8, 0), (10, 0)]
-    assert all(r["ok"] for r in lines)
-
-    # A worker attached to the drained spool finds nothing to do.
-    assert main(["worker", spool]) == 0
+    # A second worker over the drained queue finds nothing to do.
+    assert main(["worker", str(root)]) == 0
     assert "0 trial(s)" in capsys.readouterr().err
-
-
-def test_serve_rejects_bad_envelope_at_submit(tmp_path, capsys):
-    spool = str(tmp_path / "spool")
-    envelope = str(tmp_path / "bad.json")
-    with open(envelope, "w") as handle:
-        json.dump({"scenario": {}, "field": "nope", "values": [1]}, handle)
-    code = main(["serve", spool, "--once", "--submit", envelope])
-    assert code == 2
-    assert "error (ConfigError)" in capsys.readouterr().err
 
 
 def test_sweep_dir_queue_backend_matches_default(tmp_path, capsys):

@@ -34,6 +34,8 @@ from repro.core.runner import TrialRunner, TrialSpec
 from repro.metrics.collector import CampaignTelemetry
 from repro.util.errors import ConfigError, StaleLeaseError
 
+from helpers import make_queue, queue_task
+
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
@@ -61,33 +63,6 @@ def _values(outcomes):
 TRUTH = [i * i for i in range(6)]
 
 
-def _make_queue(root, ttl_s=30.0, quarantine_after=3, max_attempts=2):
-    queue = DirQueue(
-        str(root),
-        ttl_s=ttl_s,
-        quarantine_after=quarantine_after,
-        max_attempts=max_attempts,
-    )
-    queue.setup({"fingerprint": "test-fp", "ttl_s": ttl_s,
-                 "quarantine_after": quarantine_after,
-                 "max_attempts": max_attempts,
-                 "heartbeat_s": max(0.01, ttl_s / 5.0),
-                 "trial_timeout_s": None})
-    return queue
-
-
-def _task(key, fn=_square, args=None):
-    return {
-        "key": key,
-        "fn": fn,
-        "args": (key,) if args is None else args,
-        "kwargs": {},
-        "index": 0,
-        "chaos_mode": None,
-        "kill_all": False,
-    }
-
-
 # -- claim protocol -----------------------------------------------------------
 
 
@@ -99,8 +74,8 @@ def test_task_id_is_stable_and_filesystem_safe():
 
 
 def test_fresh_claim_has_exactly_one_winner(tmp_path):
-    queue = _make_queue(tmp_path / "q")
-    tid = queue.enqueue(_task(1))
+    queue = make_queue(tmp_path / "q")
+    tid = queue.enqueue(queue_task(1))
     first = queue.try_claim_fresh(tid, "host-a:1:1")
     second = queue.try_claim_fresh(tid, "host-b:2:1")
     assert first is not None and first.token == 1
@@ -109,8 +84,8 @@ def test_fresh_claim_has_exactly_one_winner(tmp_path):
 
 
 def test_claim_roundtrip_carries_host_pid_token(tmp_path):
-    queue = _make_queue(tmp_path / "q")
-    tid = queue.enqueue(_task(1))
+    queue = make_queue(tmp_path / "q")
+    tid = queue.enqueue(queue_task(1))
     queue.try_claim_fresh(tid, "nfs-host:4242:7")
     claim = queue.read_claim(tid)
     assert claim.host == "nfs-host"
@@ -121,8 +96,8 @@ def test_claim_roundtrip_carries_host_pid_token(tmp_path):
 
 
 def test_takeover_token_is_monotonic_and_exclusive(tmp_path):
-    queue = _make_queue(tmp_path / "q")
-    tid = queue.enqueue(_task(1))
+    queue = make_queue(tmp_path / "q")
+    tid = queue.enqueue(queue_task(1))
     queue.try_claim_fresh(tid, "a:1:1")
     current = queue.read_claim(tid)
     won = queue.try_takeover(tid, "b:2:1", current)
@@ -139,8 +114,8 @@ def test_orphaned_takeover_marker_does_not_wedge_the_trial(tmp_path):
     orphaned generation (after a full TTL of frozen signature) and
     finish the trial."""
     root = str(tmp_path / "q")
-    queue = _make_queue(root, ttl_s=0.2)
-    tid = queue.enqueue(_task(4))
+    queue = make_queue(root, ttl_s=0.2)
+    tid = queue.enqueue(queue_task(4))
     queue.try_claim_fresh(tid, "corpse:1:1")
     # The half-finished takeover: marker g2 allocated, claim never rewritten.
     with open(os.path.join(root, "gen", f"{tid}.g2"), "wb") as handle:
@@ -155,8 +130,8 @@ def test_orphaned_takeover_of_released_claim_recovers(tmp_path):
     """The same mid-takeover death on the *released* path (clean failure,
     winner died before rewriting the claim) must also converge."""
     root = str(tmp_path / "q")
-    queue = _make_queue(root, ttl_s=0.2, max_attempts=3)
-    tid = queue.enqueue(_task(5))
+    queue = make_queue(root, ttl_s=0.2, max_attempts=3)
+    tid = queue.enqueue(queue_task(5))
     claim = queue.try_claim_fresh(tid, "a:1:1")
     queue.release(tid, claim, "ValueError: transient")
     with open(os.path.join(root, "gen", f"{tid}.g2"), "wb") as handle:
@@ -171,8 +146,8 @@ def test_fresh_marker_restarts_the_orphan_skip_window(tmp_path):
     """A marker's appearance is part of the claim signature: an in-flight
     takeover (marker won, claim about to be rewritten) must restart the
     observer's TTL instead of being raced for the generation after."""
-    queue = _make_queue(tmp_path / "q", ttl_s=10.0)
-    tid = queue.enqueue(_task(1))
+    queue = make_queue(tmp_path / "q", ttl_s=10.0)
+    tid = queue.enqueue(queue_task(1))
     claim = queue.try_claim_fresh(tid, "a:1:1")
     before = queue.claim_signature(tid, claim)
     with open(os.path.join(str(tmp_path / "q"), "gen",
@@ -182,8 +157,8 @@ def test_fresh_marker_restarts_the_orphan_skip_window(tmp_path):
 
 
 def test_release_bumps_attempt_and_keeps_token(tmp_path):
-    queue = _make_queue(tmp_path / "q")
-    tid = queue.enqueue(_task(1))
+    queue = make_queue(tmp_path / "q")
+    tid = queue.enqueue(queue_task(1))
     claim = queue.try_claim_fresh(tid, "a:1:1")
     queue.release(tid, claim, "ValueError: nope")
     after = queue.read_claim(tid)
@@ -194,8 +169,8 @@ def test_release_bumps_attempt_and_keeps_token(tmp_path):
 
 
 def test_unparseable_claim_reads_as_in_flux(tmp_path):
-    queue = _make_queue(tmp_path / "q")
-    tid = queue.enqueue(_task(1))
+    queue = make_queue(tmp_path / "q")
+    tid = queue.enqueue(queue_task(1))
     with open(os.path.join(str(tmp_path / "q"), "claims",
                            f"{tid}.claim"), "wb") as handle:
         handle.write(b"{half a jso")
@@ -210,8 +185,8 @@ def test_unparseable_claim_reads_as_in_flux(tmp_path):
 def test_stale_commit_is_rejected_with_evidence(tmp_path):
     """The acceptance scenario: a resumed worker holding token 1 tries to
     commit after a reclaimer took token 2 — the fence must reject it."""
-    queue = _make_queue(tmp_path / "q")
-    tid = queue.enqueue(_task(3))
+    queue = make_queue(tmp_path / "q")
+    tid = queue.enqueue(queue_task(3))
     stale = queue.try_claim_fresh(tid, "paused:1:1")
     queue.try_takeover(tid, "reclaimer:2:1", stale)  # token 2 issued
 
@@ -237,8 +212,8 @@ def test_stale_commit_is_rejected_with_evidence(tmp_path):
 
 
 def test_commit_requires_matching_owner_not_just_token(tmp_path):
-    queue = _make_queue(tmp_path / "q")
-    tid = queue.enqueue(_task(1))
+    queue = make_queue(tmp_path / "q")
+    tid = queue.enqueue(queue_task(1))
     queue.try_claim_fresh(tid, "a:1:1")
     with pytest.raises(StaleLeaseError):
         queue.commit_result(
@@ -249,7 +224,7 @@ def test_commit_requires_matching_owner_not_just_token(tmp_path):
 
 def test_manifest_fingerprint_mismatch_refuses_to_mix(tmp_path):
     root = tmp_path / "q"
-    _make_queue(root)
+    make_queue(root)
     other = DirQueue(str(root))
     with pytest.raises(ConfigError, match="different campaign"):
         other.setup({"fingerprint": "other-fp"})
@@ -285,8 +260,8 @@ def test_lease_expiry_unaffected_by_30s_clock_skew(tmp_path, monkeypatch,
     """A claimant whose wall clock is 30 s fast or slow writes a wildly
     wrong ``claimed_unix`` — and it must not matter: expiry watches the
     claim *signature* under the observer's own monotonic clock."""
-    queue = _make_queue(tmp_path / "q", ttl_s=0.2)
-    tid = queue.enqueue(_task(1))
+    queue = make_queue(tmp_path / "q", ttl_s=0.2)
+    tid = queue.enqueue(queue_task(1))
     real_time = time.time
     monkeypatch.setattr(
         distq.time, "time", lambda: real_time() + skew_s
@@ -312,8 +287,8 @@ def test_lease_expiry_unaffected_by_30s_clock_skew(tmp_path, monkeypatch,
 
 
 def test_quarantine_after_distinct_worker_deaths(tmp_path):
-    queue = _make_queue(tmp_path / "q", quarantine_after=3)
-    tid = queue.enqueue(_task(5))
+    queue = make_queue(tmp_path / "q", quarantine_after=3)
+    tid = queue.enqueue(queue_task(5))
     claim = queue.try_claim_fresh(tid, "w:1:1")
     claim = queue.try_takeover(tid, "w:2:2", claim, dead_owner="w:1:1")
     assert claim is not None  # 1 death: keep going
@@ -328,8 +303,8 @@ def test_quarantine_after_distinct_worker_deaths(tmp_path):
 
 
 def test_same_owner_dying_twice_counts_once(tmp_path):
-    queue = _make_queue(tmp_path / "q", quarantine_after=2)
-    tid = queue.enqueue(_task(1))
+    queue = make_queue(tmp_path / "q", quarantine_after=2)
+    tid = queue.enqueue(queue_task(1))
     queue.record_death(tid, "w:1:1")
     queue.record_death(tid, "w:1:1")
     assert queue.distinct_deaths(tid) == ["w:1:1"]
@@ -356,9 +331,9 @@ def _claim_and_hang(root, key):
 
 def test_worker_killed_between_claim_and_heartbeat_is_reclaimed(tmp_path):
     root = str(tmp_path / "q")
-    queue = _make_queue(root, ttl_s=0.4)
+    queue = make_queue(root, ttl_s=0.4)
     for i in range(3):
-        queue.enqueue(_task(i))
+        queue.enqueue(queue_task(i))
     context = multiprocessing.get_context("fork")
     victim = context.Process(target=_claim_and_hang, args=(root, 1))
     victim.start()
@@ -415,10 +390,10 @@ def test_contending_workers_commit_every_trial_exactly_once(contention_root):
     """N processes race one queue; every trial lands exactly one result,
     and the sum of per-worker commits equals the trial count (no trial is
     double-committed even when claims contend)."""
-    queue = _make_queue(contention_root, ttl_s=5.0)
+    queue = make_queue(contention_root, ttl_s=5.0)
     n = 10
     for i in range(n):
-        queue.enqueue(_task(i))
+        queue.enqueue(queue_task(i))
     context = multiprocessing.get_context("fork")
     workers = [
         context.Process(target=_drain, args=(contention_root,))
@@ -508,8 +483,8 @@ def test_corrupt_result_drop_releases_claim_without_charging_deaths(tmp_path):
     routes the reclaim down the no-death path instead; the corrupt
     result counts as one failed attempt, like a raise."""
     root = str(tmp_path / "q")
-    queue = _make_queue(root)
-    tid = queue.enqueue(_task(2))
+    queue = make_queue(root)
+    tid = queue.enqueue(queue_task(2))
     claim = queue.try_claim_fresh(tid, "w:1:1")
     queue.commit_result(
         tid, "w:1:1", 1,
@@ -536,8 +511,8 @@ def test_corrupt_result_drop_releases_claim_without_charging_deaths(tmp_path):
 
 
 def test_fenced_out_release_leaves_the_reclaimers_claim_alone(tmp_path):
-    queue = _make_queue(str(tmp_path / "q"))
-    tid = queue.enqueue(_task(2))
+    queue = make_queue(str(tmp_path / "q"))
+    tid = queue.enqueue(queue_task(2))
     paused = queue.try_claim_fresh(tid, "paused:1:1")
     reclaim = queue.try_takeover(tid, "reclaimer:2:1", paused)
     queue.release(tid, paused, "ValueError: raised after the takeover")
@@ -711,35 +686,16 @@ def test_unpicklable_specs_degrade_instead_of_dying(tmp_path):
     assert any(e.kind == "degraded" for e in telemetry.events)
 
 
-# -- streaming ----------------------------------------------------------------
-
-
-def test_stream_yields_each_key_exactly_once_over_dir_queue(tmp_path):
-    runner = TrialRunner(
-        max_workers=2,
-        backend="dir-queue",
-        queue_dir=str(tmp_path / "q"),
-        lease_ttl_s=5.0,
-    )
-    seen = [outcome.key for outcome in runner.stream(_specs())]
-    assert sorted(seen) == list(range(6))
-
-
 def test_worker_loop_returns_when_nothing_to_serve(tmp_path):
     assert run_worker_loop(str(tmp_path), follow=False) == 0
 
 
-def test_discover_queues_finds_serve_job_layout(tmp_path):
-    direct = tmp_path / "direct"
-    _make_queue(direct)
-    assert distq._discover_queues(str(direct)) == [str(direct)]
-    spool = tmp_path / "spool"
-    _make_queue(spool / "jobs" / "job-a" / "queue")
-    _make_queue(spool / "jobs" / "job-b" / "queue")
-    assert distq._discover_queues(str(spool)) == [
-        str(spool / "jobs" / "job-a" / "queue"),
-        str(spool / "jobs" / "job-b" / "queue"),
-    ]
+def test_worker_loop_drains_the_queue_at_root(tmp_path):
+    queue = make_queue(tmp_path / "direct")
+    tid = queue.enqueue(queue_task(3))
+    assert run_worker_loop(str(tmp_path)) == 0  # a queue below root is not
+    assert run_worker_loop(str(tmp_path / "direct")) == 1
+    assert queue.read_result(tid)["value"] == 9
 
 
 def test_resume_reuses_the_same_queue_dir(tmp_path):

@@ -74,7 +74,7 @@ def test_unregister_removes_and_unknown_unregister_raises():
 # -- module-level namespaces --------------------------------------------------
 
 
-def test_all_twelve_kinds_have_builtin_entries():
+def test_every_kind_has_builtin_entries():
     expected = {
         "propagation": {"two_ray", "free_space", "shadowing", "nakagami"},
         "routing": {"AODV", "OLSR", "DYMO", "DSDV", "FLOODING"},
@@ -95,7 +95,6 @@ def test_all_twelve_kinds_have_builtin_entries():
         },
         "tech": {"80211-dsss", "80211p"},
         "effect": {"db-offset", "random-loss", "obstacle"},
-        "queue": {"dir"},
     }
     assert set(registry.KINDS) == set(expected)
     for kind, names in expected.items():
