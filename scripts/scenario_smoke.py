@@ -2,7 +2,9 @@
 
 Exercises the paths a scenario file travels in real use:
 
-1. ``repro components`` lists every registry namespace;
+1. ``repro components`` lists every registry namespace, and piped into a
+   reader that closes after one line (``| head -1``) it exits 0 or 141
+   with nothing on stderr;
 2. ``Scenario.save()`` -> ``Scenario.load()`` round-trips exactly;
 3. ``repro run --scenario file.json --set seed=7 --set protocol=OLSR``
    runs the loaded scenario with dotted overrides applied;
@@ -14,6 +16,8 @@ Run:  PYTHONPATH=src python scripts/scenario_smoke.py
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -33,6 +37,24 @@ def _cli(*argv: str) -> str:
     return buffer.getvalue()
 
 
+def _components_into_closed_reader() -> None:
+    """``repro components | head -1``: the reader leaves after one line,
+    and the CLI must stop without a traceback (or anything) on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "components"],
+        env=dict(os.environ, PYTHONUNBUFFERED="1"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    code = proc.wait(timeout=60)
+    if stderr or code not in (0, 141) or not first:
+        raise SystemExit(
+            f"`repro components | head -1` exited {code}, stderr:\n{stderr}"
+        )
+
+
 def main_smoke() -> None:
     # 1. The components listing names the five namespaces a scenario is
     #    built from, and one builtin in each.
@@ -41,6 +63,7 @@ def main_smoke() -> None:
         assert kind in listing, f"`repro components` misses {kind}"
     for name in ("two_ray", "AODV", "cbr", "circuit", "random"):
         assert name in listing, f"`repro components` misses builtin {name}"
+    _components_into_closed_reader()
     print("components listing OK")
 
     scenario = Scenario(

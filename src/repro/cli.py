@@ -39,7 +39,9 @@ Interrupting a campaign is graceful for both Ctrl-C and a polite kill:
 completed trials are already fsync'd to the journal (when ``--journal``
 is given), a partial telemetry summary and a resume hint go to stderr,
 and the process exits with the conventional code — 130 for SIGINT, 143
-for SIGTERM.
+for SIGTERM.  When stdout's reader closes early (``repro components |
+head -1``), the command stops quietly with 141, the code of a process
+killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import signal
 import sys
 from typing import Any, Dict, List, Optional
@@ -431,6 +434,9 @@ EXIT_QUARANTINED = 3
 EXIT_INTERRUPTED = 130
 #: Conventional exit code for death-by-SIGTERM (128 + signal number 15).
 EXIT_TERMINATED = 143
+#: Stdout's reader closed early: the code a shell reports for a process
+#: killed by SIGPIPE (128 + signal number 13), as ``yes | head`` does.
+EXIT_BROKEN_PIPE = 141
 
 #: Which signal actually interrupted us — SIGTERM is delivered as a
 #: KeyboardInterrupt (see :func:`_handle_sigterm`) so campaign handlers
@@ -560,7 +566,23 @@ def _scenario_from(args: argparse.Namespace):
         )
     if overrides:
         base = base.with_overrides(overrides)
+    _warn_removed_kernels(base, overrides, args)
     return base
+
+
+def _warn_removed_kernels(scenario, overrides, args) -> None:
+    """Name the option or file that carried a removed kernel backend
+    (a Python warning could only point at the interpreter's frames)."""
+    from repro.kernels import take_removed_warning
+
+    message = take_removed_warning(scenario.kernels)
+    if message is None:
+        return
+    if "kernels" in overrides:
+        source = f"--set kernels={overrides['kernels']}"
+    else:
+        source = f"--scenario {args.scenario}"
+    print(f"warning: {source}: {message}", file=sys.stderr)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -942,7 +964,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _validate_args(args)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed early (``repro components | head -1``).
+        # Python flushes stdout again at exit; pointing it at devnull
+        # keeps that flush from raising a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ReproError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,11 @@ namespace, ``backend``:
 ``auto``
     ``local-serial`` for ``max_workers == 1``, else the private queue.
 
+All five names register here.  The queue's factories import
+:mod:`repro.core.distq` (and with it ``multiprocessing``) only when they
+build a backend, so a single trial, or a serial campaign, never loads
+the queue machinery.
+
 Every backend receives the *dense* spec list (journal-resume holes
 already removed by the runner) and must return bit-identical values for
 identical specs: supervision changes failure handling, never results.
@@ -80,3 +85,26 @@ class LocalSerialBackend(ExecutionBackend):
 @register("backend", "local-serial")
 def make_local_serial(runner: TrialRunner) -> ExecutionBackend:
     return LocalSerialBackend(runner)
+
+
+@register("backend", "dir-queue")
+def make_dir_queue(runner: TrialRunner) -> ExecutionBackend:
+    from repro.core.distq import DirQueueBackend
+
+    return DirQueueBackend(runner)
+
+
+@register("backend", "local-supervised")
+@register("backend", "local-process")  # the retired process pool's name
+def make_local_supervised(runner: TrialRunner) -> ExecutionBackend:
+    from repro.core.distq import LocalSupervisedBackend
+
+    return LocalSupervisedBackend(runner)
+
+
+@register("backend", "auto")
+def make_auto(runner: TrialRunner) -> ExecutionBackend:
+    """Serial for one worker, the private-directory queue otherwise."""
+    if runner.max_workers == 1:
+        return LocalSerialBackend(runner)
+    return make_local_supervised(runner)

@@ -113,7 +113,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core import chaos as _chaos
 from repro.core.backend import ExecutionBackend, LocalSerialBackend
 from repro.core.journal import trial_key_id
-from repro.core.registry import register
 from repro.core.runner import TrialOutcome, TrialRunner, TrialSpec
 from repro.util.errors import ConfigError, StaleLeaseError
 
@@ -1631,27 +1630,5 @@ def _specs_fingerprint(specs: Sequence[TrialSpec]) -> str:
         digest.update(trial_key_id(spec.key).encode("utf-8"))
         digest.update(b"\x00")
     return digest.hexdigest()
-
-
-# -- registry entries ---------------------------------------------------------
-
-
-@register("backend", "dir-queue")
-def make_dir_queue(runner: TrialRunner) -> ExecutionBackend:
-    return DirQueueBackend(runner)
-
-
-@register("backend", "local-supervised")
-@register("backend", "local-process")  # the retired process pool's name
-def make_local_supervised(runner: TrialRunner) -> ExecutionBackend:
-    return LocalSupervisedBackend(runner)
-
-
-@register("backend", "auto")
-def make_auto(runner: TrialRunner) -> ExecutionBackend:
-    """Serial for one worker, the private-directory queue otherwise."""
-    if runner.max_workers == 1:
-        return LocalSerialBackend(runner)
-    return LocalSupervisedBackend(runner)
 
 

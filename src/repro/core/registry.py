@@ -44,7 +44,10 @@ Eleven kinds exist (:data:`KINDS`):
     campaign's *trials* execute (in-process serial, or the claim-file
     job queue over a shared or a private directory); every backend
     produces bit-identical campaign results, only the failure-handling
-    machinery differs.
+    machinery differs.  All built-in entries live in
+    :mod:`repro.core.backend`; the queue machinery,
+    :mod:`repro.core.distq`, is imported on the first build of a queue
+    backend, not when a name is looked up.
 ``tech``
     Radio-technology profiles, ``factory(scenario, **options) ->
     TechProfile`` (see :mod:`repro.phy.tech`) — frequency, bandwidth,
@@ -126,7 +129,7 @@ _BUILTIN_MODULES: Dict[str, Tuple[str, ...]] = {
     "fault": ("repro.faults",),
     "spatial": ("repro.phy.spatial",),
     "kernels": ("repro.kernels",),
-    "backend": ("repro.core.backend", "repro.core.distq"),
+    "backend": ("repro.core.backend",),
     "tech": ("repro.phy.tech",),
     "effect": ("repro.phy.effects",),
 }

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.des.engine import Simulator
 from repro.des.event import Event
+from repro.util import slots
 from repro.util.errors import ConfigError
 
 
@@ -24,6 +25,12 @@ class PeriodicTimer:
     from each interval, mirroring the MAX_JITTER behaviour of OLSR (RFC 3626
     section 18.1).  Pass a seeded generator for reproducibility.
     """
+
+    __slots__ = (
+        "_sim", "_interval", "_callback", "_jitter", "_rng", "_event",
+        "_running", "_start_delay",
+    )
+    __setstate__ = slots.setstate
 
     def __init__(
         self,

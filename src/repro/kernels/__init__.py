@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.core.registry import register
 from repro.core import registry as _registry
@@ -44,6 +44,8 @@ __all__ = [
 
 #: Singleton cache: canonical backend name -> constructed instance.
 _BACKENDS: Dict[str, KernelBackend] = {}
+#: Removed backends' names: they still resolve, like ``auto``.
+_REMOVED = frozenset({"numba", "cjit"})
 #: Backend names whose fallback warning already fired this process.
 _WARNED: Set[str] = set()
 #: Source files under this directory belong to the package.
@@ -61,16 +63,29 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def _fallback(name: str, fallback_name: str, reason: str) -> KernelBackend:
-    if name not in _WARNED:
-        _WARNED.add(name)
+def take_removed_warning(name: str) -> Optional[str]:
+    """The fallback warning for the removed backend ``name``, once.
+
+    For callers that know better than a stack frame where the name came
+    from (the CLI names the option or file).  None for a live name or
+    one already warned about; afterwards resolving ``name`` is silent.
+    """
+    if name not in _REMOVED or name in _WARNED:
+        return None
+    _WARNED.add(name)
+    return (
+        f"kernels={name!r} unavailable (the {name} backend was removed); "
+        "falling back to kernels='auto' (bit-identical)"
+    )
+
+
+def _fallback(name: str) -> KernelBackend:
+    message = take_removed_warning(name)
+    if message is not None:
         warnings.warn(
-            f"kernels={name!r} unavailable ({reason}); "
-            f"falling back to kernels={fallback_name!r} (bit-identical)",
-            RuntimeWarning,
-            stacklevel=_outside_stacklevel(),
+            message, RuntimeWarning, stacklevel=_outside_stacklevel()
         )
-    return resolve_backend(fallback_name)
+    return resolve_backend("auto")
 
 
 @register("kernels", "python")
@@ -88,13 +103,13 @@ def make_vector(scenario=None) -> KernelBackend:
 @register("kernels", "numba")
 def make_numba(scenario=None) -> KernelBackend:
     """The removed numba backend's name: warns once, resolves as auto."""
-    return _fallback("numba", "auto", "the numba backend was removed")
+    return _fallback("numba")
 
 
 @register("kernels", "cjit")
 def make_cjit(scenario=None) -> KernelBackend:
     """The removed generated-C backend's name: warns once, resolves as auto."""
-    return _fallback("cjit", "auto", "the cjit backend was removed")
+    return _fallback("cjit")
 
 
 @register("kernels", "auto")

@@ -27,10 +27,17 @@ from repro.net.address import BROADCAST
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.phy.tech import TechProfile
+from repro.util import slots
 
 
 class MacStats:
     """Per-MAC counters surfaced to the metrics layer."""
+
+    __slots__ = (
+        "data_tx", "ack_tx", "rts_tx", "cts_tx", "retransmissions",
+        "retry_drops", "duplicates_suppressed",
+    )
+    __setstate__ = slots.setstate
 
     def __init__(self) -> None:
         self.data_tx = 0
@@ -87,6 +94,15 @@ class Mac80211:
     allocated by the first such frame: most vehicles on a highway
     receive only broadcasts and never build one.
     """
+
+    __slots__ = (
+        "_sim", "_radio", "_params", "_tech", "_noise_floor_w", "_rng",
+        "_queue", "stats", "_down", "_current", "_outgoing", "cw",
+        "backoff_slots", "backoff_started", "need_backoff", "nav_until",
+        "_timer", "_timer_kind", "_nav_wakeup", "_response_timer",
+        "_seq_counter", "_dup_cache", "_on_receive", "_on_failure",
+    )
+    __setstate__ = slots.setstate
 
     def __init__(
         self,

@@ -21,6 +21,7 @@ from repro.net.packet import DATA, Packet
 from repro.phy.channel import Channel
 from repro.phy.params import PhyParams
 from repro.phy.radio import Radio
+from repro.util import slots
 
 #: Default TTL for data packets (ample for a 30-node circuit).
 DATA_TTL = 32
@@ -28,6 +29,12 @@ DATA_TTL = 32
 
 class Node:
     """One vehicle's full network stack."""
+
+    __slots__ = (
+        "sim", "node_id", "metrics", "radio", "mac", "routing", "_sinks",
+        "up", "blackhole",
+    )
+    __setstate__ = slots.setstate
 
     def __init__(
         self,

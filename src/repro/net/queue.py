@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.net.packet import Packet
+from repro.util import slots
 
 
 class DropTailQueue:
@@ -24,6 +25,9 @@ class DropTailQueue:
     node).  At the 50-slot capacity every node is built with, head
     insertion and removal move at most 49 references.
     """
+
+    __slots__ = ("_capacity", "_queue", "drops")
+    __setstate__ = slots.setstate
 
     def __init__(self, capacity: int = 50) -> None:
         if capacity < 1:

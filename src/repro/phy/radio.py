@@ -24,6 +24,7 @@ from typing import List, Optional, Protocol
 from repro.des.engine import Simulator
 from repro.mac.frames import Frame
 from repro.phy.params import PhyParams
+from repro.util import slots
 
 
 class RadioState(enum.Enum):
@@ -60,6 +61,14 @@ class _Signal:
 
 class Radio:
     """One node's transceiver, attached to the shared :class:`Channel`."""
+
+    __slots__ = (
+        "_sim", "_node_id", "_params", "_channel", "tx_power_w",
+        "cs_threshold_w", "_rx_threshold_w", "_capture_ratio", "_mac",
+        "_signals", "enabled", "_transmitting", "airtime_tx_s",
+        "airtime_rx_s",
+    )
+    __setstate__ = slots.setstate
 
     def __init__(
         self,

@@ -156,6 +156,11 @@ class _Discovery:
 class Aodv(RoutingProtocol):
     """One node's AODV agent."""
 
+    __slots__ = (
+        "config", "table", "_seq", "_rreq_id", "_seen_rreqs", "_buffer",
+        "_pending", "_neighbors", "_hello_timer", "_maintenance_timer",
+    )
+
     name = "AODV"
 
     def __init__(

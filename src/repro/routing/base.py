@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.net.address import BROADCAST
 from repro.net.packet import Packet
+from repro.util import slots
 from repro.util.errors import InvariantViolation
 
 #: Hard ceiling on hops a packet may accumulate.  Every data packet starts
@@ -26,7 +27,15 @@ MAX_HOPS = 256
 
 
 class RoutingProtocol(abc.ABC):
-    """Base class wiring a protocol instance to its node."""
+    """Base class wiring a protocol instance to its node.
+
+    The base declares ``__slots__``; a subclass that declares none (every
+    protocol but AODV, and third-party ones) keeps an instance
+    ``__dict__`` for its own state.
+    """
+
+    __slots__ = ("node", "sim", "rng")
+    __setstate__ = slots.setstate
 
     #: Protocol name used in packet kinds and registry lookups.
     name = "BASE"

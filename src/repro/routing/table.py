@@ -7,11 +7,11 @@ freedom, lifetimes for expiry, and precursor lists for RERR propagation.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Iterator, Optional, Set
 
+from repro.util import slots
 
-@dataclasses.dataclass
+
 class RouteEntry:
     """One destination's route.
 
@@ -27,15 +27,40 @@ class RouteEntry:
             :meth:`add_precursor` records the first one, so the many
             entries nobody routes through (HELLO neighbour routes) hold
             no set.
+
+    A highway run holds tens of thousands of entries, so the class is
+    slotted: an entry carries no instance ``__dict__``.
     """
 
-    dst: int
-    next_hop: int
-    hops: int
-    seq: int
-    expires_at: float
-    valid: bool = True
-    precursors: Optional[Set[int]] = None
+    __slots__ = (
+        "dst", "next_hop", "hops", "seq", "expires_at", "valid",
+        "precursors",
+    )
+    __setstate__ = slots.setstate
+
+    def __init__(
+        self,
+        dst: int,
+        next_hop: int,
+        hops: int,
+        seq: int,
+        expires_at: float,
+        valid: bool = True,
+        precursors: Optional[Set[int]] = None,
+    ) -> None:
+        self.dst = dst
+        self.next_hop = next_hop
+        self.hops = hops
+        self.seq = seq
+        self.expires_at = expires_at
+        self.valid = valid
+        self.precursors = precursors
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"RouteEntry({fields})"
 
     def add_precursor(self, neighbour: int) -> None:
         """Record that ``neighbour`` routes to ``dst`` through us."""
@@ -47,6 +72,9 @@ class RouteEntry:
 
 class RouteTable:
     """Destination-indexed route entries with expiry semantics."""
+
+    __slots__ = ("_entries",)
+    __setstate__ = slots.setstate
 
     def __init__(self) -> None:
         self._entries: Dict[int, RouteEntry] = {}

@@ -10,17 +10,46 @@ isolation.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=None)
+def _no_spawn_seed():
+    """The seed sequence every stream's bit generator holds (one object).
+
+    A stream's state is copied in from a generator seeded the usual way,
+    so this one only has to satisfy the constructor.  Holding it instead
+    of the real :class:`~numpy.random.SeedSequence` drops the entropy and
+    pool arrays each stream would keep alive; and since it cannot spawn,
+    ``Generator.spawn()`` raises ``TypeError`` rather than handing out
+    children no other stream knows about.  Built on first use: importing
+    ``numpy.random`` costs a process about 2.7 MB, and a process that
+    never draws (a campaign's scheduler) should not pay it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class NoSpawnSeed(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+        def __reduce__(self):
+            # Unpickled streams share the one sentinel.
+            return _no_spawn_seed, ()
+
+    return NoSpawnSeed()
+
+
 class RngStreams:
     """A family of independent, reproducible random generators.
 
-    Each distinct ``name`` passed to :meth:`stream` yields a generator seeded
-    from ``(root_seed, name)`` via :class:`numpy.random.SeedSequence`; the
-    same ``(seed, name)`` pair always produces the same sequence.
+    Each distinct ``name`` passed to :meth:`stream` yields a PCG64
+    generator seeded from ``(root_seed, name)`` via
+    :class:`numpy.random.SeedSequence`; the same ``(seed, name)`` pair
+    always produces the same sequence.  Streams do not spawn: derive
+    child families with :meth:`spawn`.
 
     >>> a = RngStreams(7).stream("mac")
     >>> b = RngStreams(7).stream("mac")
@@ -50,9 +79,10 @@ class RngStreams:
                 # < 2**21), so SeedSequence pools the same words; the
                 # array skips numpy's per-element coercion of a list.
                 entropy = np.array(entropy, dtype=np.uint32)
-            self._streams[name] = np.random.default_rng(
-                np.random.SeedSequence(entropy)
-            )
+            seeded = np.random.PCG64(np.random.SeedSequence(entropy))
+            bit_generator = np.random.PCG64(_no_spawn_seed())
+            bit_generator.state = seeded.state
+            self._streams[name] = np.random.Generator(bit_generator)
         return self._streams[name]
 
     def spawn(self, name: str) -> "RngStreams":

@@ -1,6 +1,11 @@
 """CLI tests (small scenarios for speed)."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +313,62 @@ def test_components_lists_every_registered_namespace(capsys):
     assert "80211p" in out
     assert "effect (channel effect" in out
     assert "obstacle" in out
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that is gone before the first write (``repro components
+    | head -1`` once head has exited) gets exit 141 and no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "components"],
+            env={**os.environ, "PYTHONPATH": src}, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+@pytest.fixture
+def fresh_kernel_warnings(monkeypatch):
+    import repro.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_BACKENDS", {})
+    monkeypatch.setattr(kernels, "_WARNED", set())
+
+
+@pytest.mark.parametrize("source", ["--set", "--scenario"])
+def test_removed_kernels_warning_names_its_source(
+    source, fresh_kernel_warnings, tmp_path, capsys
+):
+    """The removed ``cjit`` name still runs (as ``auto``); the one
+    warning names the option or file that carried it, and no Python
+    warning points at the interpreter's entry frame instead."""
+    from repro.core.config import Scenario
+
+    if source == "--set":
+        argv = ["run", *SMALL, "--set", "kernels=cjit"]
+        expected = "warning: --set kernels=cjit: kernels='cjit' unavailable"
+    else:
+        path = str(tmp_path / "old.json")
+        Scenario(
+            num_nodes=10, road_length_m=1000.0, sim_time_s=5.0,
+            senders=(1, 2), traffic_start_s=0.5, traffic_stop_s=4.5,
+            kernels="cjit",
+        ).save(path)
+        argv = ["run", "--scenario", path]
+        expected = f"warning: --scenario {path}: kernels='cjit' unavailable"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert expected in err
 
 
 def test_run_accepts_tech_flag_and_reports_energy(capsys):

@@ -1,22 +1,32 @@
-"""Per-vehicle state is allocated on first use.
+"""Per-vehicle state is allocated on first use, and kept compact.
 
 On a highway most vehicles only exchange AODV HELLOs: they never receive
 a unicast DATA frame, and nobody routes through most of their route
 entries.  Such a vehicle holds no MAC duplicate cache and no precursor
-sets, and every agent shares one default protocol configuration.  These
-tests check the structure only (which objects exist), never byte counts,
-so they hold on every Python version.
+sets, and every agent shares one default protocol configuration.  Its
+stack objects are slotted (no instance ``__dict__``), and its random
+streams hold no seed sequence of their own.  These tests check the
+structure only (which objects exist), never byte counts, so they hold
+on every Python version.
 """
 
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.config import Scenario
 from repro.core.simulation import CavenetSimulation
 from repro.mac.dcf import Mac80211
 from repro.mac.frames import FrameType
+from repro.net.queue import DropTailQueue
 from repro.routing import PROTOCOLS
+from repro.util.rng import RngStreams, _no_spawn_seed
 
 from helpers import TestNetwork, chain_coords
 
@@ -98,3 +108,88 @@ def test_default_config_is_shared_and_frozen(protocol):
     field = dataclasses.fields(first)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(first, field, getattr(first, field))
+
+
+def _stack_objects(node):
+    """One vehicle's slotted objects: stack, AODV agent, table, timers."""
+    agent = node.routing
+    yield from (node, node.radio, node.mac, node.mac.stats, node.mac.queue)
+    yield from (agent, agent.table, agent._hello_timer)
+    yield agent._maintenance_timer
+    yield from agent.table._entries.values()
+
+
+def test_highway_stack_objects_hold_no_instance_dict(highway):
+    nodes, _ = highway
+    objects = [obj for node in nodes for obj in _stack_objects(node)]
+    assert {type(obj).__name__ for obj in objects} == {
+        "Node", "Radio", "Mac80211", "MacStats", "DropTailQueue", "Aodv",
+        "RouteTable", "PeriodicTimer", "RouteEntry",
+    }
+    assert not [obj for obj in objects if hasattr(obj, "__dict__")]
+
+
+def test_highway_streams_share_one_seed_sentinel(highway):
+    nodes, _ = highway
+    streams = [node.mac._rng for node in nodes]
+    streams += [node.routing.rng for node in nodes]
+    assert len({id(stream) for stream in streams}) == 2 * len(nodes)
+    sentinel = _no_spawn_seed()
+    assert all(s.bit_generator.seed_seq is sentinel for s in streams)
+    with pytest.raises(TypeError):
+        streams[0].spawn(1)
+    restored = pickle.loads(pickle.dumps(streams[0]))
+    assert restored.bit_generator.seed_seq is sentinel
+
+
+def test_rng_streams_spawn_still_derives_distinct_children():
+    parent = RngStreams(11)
+    first, second = parent.spawn("trial"), parent.spawn("trial")
+    assert first.seed != second.seed
+    draws = [child.stream("mac-0").random(4) for child in (first, second)]
+    assert not np.array_equal(*draws)
+
+
+def test_one_trial_loads_no_queue_machinery():
+    """Resolving a scenario's backend name no longer imports the
+    claim-file queue (and ``multiprocessing`` with it), and nothing but
+    a first stream imports ``numpy.random`` (a campaign's scheduler
+    draws none)."""
+    code = (
+        "import sys\n"
+        "from repro.core.config import Scenario\n"
+        "from repro.core.simulation import CavenetSimulation\n"
+        "Scenario()\n"
+        "print('numpy.random' in sys.modules)\n"
+        "CavenetSimulation(Scenario(num_nodes=10, road_length_m=1000.0, "
+        "sim_time_s=2.0, senders=(1, 2), traffic_start_s=0.5, "
+        "traffic_stop_s=1.5)).run()\n"
+        "print(sorted({'repro.core.distq', 'multiprocessing'} "
+        "& set(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.split() == ["False", "[]"]
+
+
+class _PickledBeforeSlots:
+    """Pickles the way a DropTailQueue did while it had a ``__dict__``."""
+
+    def __reduce__(self):
+        state = {"_capacity": 3, "_queue": [], "drops": 2}
+        return (object.__new__, (DropTailQueue,), state)
+
+
+def test_slotted_object_unpickles_slot_and_dict_state():
+    queue = DropTailQueue(3)
+    queue.enqueue("packet", 1)
+    queue.drops = 2
+    for payload in (pickle.dumps(queue), pickle.dumps(_PickledBeforeSlots())):
+        restored = pickle.loads(payload)
+        assert type(restored) is DropTailQueue
+        assert not hasattr(restored, "__dict__")
+        assert (restored.capacity, restored.drops) == (3, 2)
+    assert list(pickle.loads(pickle.dumps(queue))._queue) == [("packet", 1)]
