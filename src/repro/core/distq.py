@@ -10,14 +10,17 @@ this module builds the whole contract out of two filesystem primitives
 that are atomic everywhere that matters:
 
 * ``O_CREAT | O_EXCL`` — at most one creator wins, ever;
-* ``rename`` within a directory — a file appears complete or not at all.
+* ``rename`` within a directory — a file appears complete or not at all;
+* ``link`` of a complete temporary file to a new name — both at once:
+  one creator wins, and the file it publishes is already complete.
 
 On top of those:
 
 **Claims with fencing tokens.**  Every trial has at most one claim file.
-The *first* claim is arbitrated by ``O_EXCL`` on the claim file itself
-(token 1).  Every later takeover — an expired lease, a released claim —
-is arbitrated by ``O_EXCL`` on a per-generation marker file
+The *first* claim is arbitrated by ``link`` onto the claim file itself
+(token 1), so a worker killed mid-claim never leaves an empty claim.
+Every later takeover — an expired lease, a released claim — is
+arbitrated by ``O_EXCL`` on a per-generation marker file
 (``gen/<id>.g<N>``), so the token sequence is strictly monotonic and
 allocated exactly once.  A worker commits its result *through* the
 token: the commit re-reads the claim and refuses (``StaleLeaseError``)
@@ -54,6 +57,7 @@ Layout of a queue directory::
       manifest.json        campaign fingerprint + settings (scheduler-written)
       tasks/<id>.task      pickled trial (key, fn, args, kwargs, chaos plan)
       claims/<id>.claim    JSON claim: owner, host, pid, token, attempt
+      claims/.<id>.*       first-claim temporaries (linked, then removed)
       gen/<id>.g<N>        O_EXCL fencing-token allocation markers
       hb/<id>              heartbeat file: owner, token, seq (atomic rename)
       deaths/<id>.<h>      one marker per distinct owner that died holding <id>
@@ -71,7 +75,11 @@ but silent is caught after one TTL of frozen signature — by a peer, or
 by the scheduler, which SIGKILLs its own silent worker and reclaims.
 A worker whose trial overran ``trial_timeout_s`` settles that attempt
 itself (release for retry, or a ``timeout`` result on the last attempt)
-and then ends its own process, so no death is charged for it.
+and then ends its own process, so no death is charged for it.  Its exit
+is still recorded (a ``worker-dead`` event, exit code
+:data:`TIMED_OUT_EXIT`), every time: the failure record names its
+owner, and the scheduler waits for that exit before it shuts down, even
+when the retry has already finished the campaign.
 
 Workers (:func:`run_worker_loop`, the ``repro worker`` CLI) need nothing
 but this directory; the scheduling side
@@ -224,10 +232,11 @@ class ClaimState:
     claimed_unix: float
 
 
-#: Sentinel for a claim file that exists but cannot be parsed yet — the
-#: gap between ``O_EXCL`` creation and the content write, or NFS serving
-#: a half-cached page.  Treated as "present, in flux": never claimable
-#: fresh, and the observer restarts its TTL when real content appears.
+#: Sentinel for a claim file that exists but cannot be parsed yet — NFS
+#: serving a half-cached page (claims are published complete, so no
+#: worker leaves one half-written).  Treated as "present, in flux": never
+#: claimable fresh, and the observer restarts its TTL when real content
+#: appears.
 CLAIM_IN_FLUX = ClaimState(
     owner="?", host="?", pid=-1, token=-1, attempt=0,
     released=False, claimed_unix=0.0,
@@ -441,20 +450,35 @@ class DirQueue:
         ).encode("utf-8")
 
     def try_claim_fresh(self, tid: str, owner: str) -> Optional[ClaimState]:
-        """First-generation claim: ``O_EXCL`` on the claim file itself."""
-        path = self._path("claims", f"{tid}.claim")
+        """First-generation claim, published complete.
+
+        The claim is written to a private temporary file in ``claims/``
+        and hard-linked to ``<id>.claim``: the link is the exclusive
+        create (``FileExistsError`` means the race was lost), and the
+        claim file never exists without its content.  A worker killed
+        at any point leaves either no claim (the trial stays claimable)
+        or a complete one (reclaimed after a TTL); a leftover temporary
+        file is dot-named, so no reader takes it for a claim.
+        """
+        claims = self._dir("claims")
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return None
+            fd, temp = tempfile.mkstemp(prefix=f".{tid}.", dir=claims)
         except OSError:
             return None  # read-only dir etc.; caller's health probe reacts
         try:
-            os.write(fd, self._claim_payload(owner, 1, 1, False))
-            _fsync_file(fd)
-        finally:
-            os.close(fd)
-        _fsync_dir(self._dir("claims"))
+            try:
+                os.write(fd, self._claim_payload(owner, 1, 1, False))
+                _fsync_file(fd)
+            finally:
+                os.close(fd)
+            os.link(temp, self._path("claims", f"{tid}.claim"))
+            won = True
+        except OSError:  # FileExistsError: lost; otherwise unwritable
+            won = False
+        os.unlink(temp)
+        if not won:
+            return None
+        _fsync_dir(claims)
         return self.read_claim(tid)
 
     def highest_gen(self, tid: str, floor: int) -> int:
@@ -599,7 +623,7 @@ class DirQueue:
         ):
             return
         failure = {
-            "attempt": claim.attempt, "status": status,
+            "attempt": claim.attempt, "status": status, "owner": claim.owner,
             "error": str(error)[:8000], "wall_clock_s": wall_clock_s,
         }
         _atomic_write(
@@ -1167,6 +1191,9 @@ class DirQueueBackend(ExecutionBackend):
         seen_quarantine: set = set()
         seen_stale: set = set()
         lease_mirror: Dict[str, Tuple[str, int]] = {}
+        # Our workers that settled a timed-out attempt: each ends its own
+        # process right after (TIMED_OUT_EXIT).
+        exiting: set = set()
         slow_stats = 0
         degrade_reason = None
         directory_failed = False
@@ -1181,6 +1208,17 @@ class DirQueueBackend(ExecutionBackend):
             )
             process.start()
             workers[worker_identity(epoch, process.pid)] = process
+
+        def reap(identity: str) -> bool:
+            """Record an exited worker; True unless it timed itself out."""
+            process = workers.pop(identity)
+            corpses.add(identity)
+            if process.exitcode:  # 0: drained the queue and left
+                runner._record_event(
+                    "worker-dead",
+                    detail=f"{identity} exit code {process.exitcode}",
+                )
+            return process.exitcode != TIMED_OUT_EXIT
 
         try:
             for _ in range(runner.max_workers):
@@ -1224,17 +1262,7 @@ class DirQueueBackend(ExecutionBackend):
                     identity for identity, process in workers.items()
                     if not process.is_alive()
                 ]
-                crashed = 0
-                for identity in dead:
-                    process = workers.pop(identity)
-                    corpses.add(identity)
-                    if process.exitcode:  # 0: drained the queue and left
-                        runner._record_event(
-                            "worker-dead",
-                            detail=f"{identity} exit code {process.exitcode}",
-                        )
-                    if process.exitcode != TIMED_OUT_EXIT:
-                        crashed += 1
+                crashed = sum(reap(identity) for identity in dead)
 
                 # Results are listed before the claims are read: a claim
                 # that committed a listed result is final by then, so the
@@ -1269,7 +1297,7 @@ class DirQueueBackend(ExecutionBackend):
 
                 if self._collect(
                     queue, specs, index_of, results, journal,
-                    seen_results, seen_quarantine, ready, parked,
+                    seen_results, seen_quarantine, ready, parked, exiting,
                 ):
                     progressed = True
 
@@ -1294,6 +1322,16 @@ class DirQueueBackend(ExecutionBackend):
                 if not progressed:
                     time.sleep(POLL_INTERVAL_S)
         finally:
+            # A timed-out worker releases its trial before it exits, so
+            # the retry can land before this loop sees the exit: wait for
+            # it, so its end is recorded however the two raced.
+            for identity in exiting & workers.keys():
+                workers[identity].join(queue.ttl_s)
+            for identity in [
+                identity for identity, process in workers.items()
+                if not process.is_alive()
+            ]:
+                reap(identity)
             for process in workers.values():
                 process.terminate()
             for process in workers.values():
@@ -1404,7 +1442,7 @@ class DirQueueBackend(ExecutionBackend):
 
     def _collect(
         self, queue, specs, index_of, results, journal,
-        seen_results, seen_quarantine, ready, parked,
+        seen_results, seen_quarantine, ready, parked, exiting,
     ) -> bool:
         """Fold new results/quarantines into outcomes; True if any did.
 
@@ -1413,7 +1451,8 @@ class DirQueueBackend(ExecutionBackend):
         covers every spec index whose key hashed to it (duplicate keys
         share one task), so each decision fans out to all of them —
         per-index records mirror what serial would have reported had it
-        run each occurrence itself, one record per attempt.
+        run each occurrence itself, one record per attempt.  The owner
+        of every timed-out attempt read here is added to ``exiting``.
         """
         progressed = False
         for tid, indices in index_of.items():
@@ -1437,6 +1476,10 @@ class DirQueueBackend(ExecutionBackend):
             # Failed attempts bump the attempt counter, so a first
             # attempt has no earlier failures to read.
             earlier = queue.failures(tid) if attempts > 1 else []
+            exiting.update(
+                attempt.get("owner") for attempt in earlier + [record]
+                if attempt.get("status") == "timeout"
+            )
             for index in indices:
                 results[index] = self._settle(
                     specs[index].key, index, record, attempts, earlier,

@@ -96,8 +96,8 @@ class Mac80211:
     """
 
     __slots__ = (
-        "_sim", "_radio", "_params", "_tech", "_noise_floor_w", "_rng",
-        "_queue", "stats", "_down", "_current", "_outgoing", "cw",
+        "_sim", "_radio", "_address", "_params", "_tech", "_noise_floor_w",
+        "_rng", "_queue", "stats", "_down", "_current", "_outgoing", "cw",
         "backoff_slots", "backoff_started", "need_backoff", "nav_until",
         "_timer", "_timer_kind", "_nav_wakeup", "_response_timer",
         "_seq_counter", "_dup_cache", "_on_receive", "_on_failure",
@@ -115,6 +115,9 @@ class Mac80211:
     ) -> None:
         self._sim = sim
         self._radio = radio
+        #: The radio's node id, copied: the receive path and every frame
+        #: built read it, and a plain attribute skips two property calls.
+        self._address = radio.node_id
         self._params = params
         self._tech = (
             tech if tech is not None else TechProfile.from_mac_params(params)
@@ -164,7 +167,7 @@ class Mac80211:
     @property
     def address(self) -> int:
         """The MAC address (= node id)."""
-        return self._radio.node_id
+        return self._address
 
     @property
     def queue(self) -> DropTailQueue:
@@ -347,7 +350,7 @@ class Mac80211:
             if frame.frame_type is FrameType.DATA:
                 self._on_receive(frame.packet, frame.tx_addr)
             return
-        if frame.rx_addr != self.address:
+        if frame.rx_addr != self._address:
             # Virtual carrier sense: honour the Duration field.
             self._update_nav(self._sim.now + frame.duration_s)
             return
@@ -411,7 +414,7 @@ class Mac80211:
         )
         frame = Frame(
             frame_type=FrameType.DATA,
-            tx_addr=self.address,
+            tx_addr=self._address,
             rx_addr=ctx.next_hop,
             size_bytes=size,
             duration_s=duration,
@@ -438,7 +441,7 @@ class Mac80211:
         )
         frame = Frame(
             frame_type=FrameType.RTS,
-            tx_addr=self.address,
+            tx_addr=self._address,
             rx_addr=ctx.next_hop,
             size_bytes=size,
             duration_s=duration,
@@ -456,7 +459,7 @@ class Mac80211:
             return
         # SIFS responses (ACK/CTS) preempt contention, but a half-duplex
         # radio that started talking in the meantime cannot send one.
-        if self._radio.state.value == "tx":
+        if self._radio._transmitting:
             return
         size = self._params.frame_size(frame_type)
         duration = 0.0
@@ -468,7 +471,7 @@ class Mac80211:
             duration = 2 * self._params.sifs_s + self._params.ack_tx_time()
         frame = Frame(
             frame_type=frame_type,
-            tx_addr=self.address,
+            tx_addr=self._address,
             rx_addr=to,
             size_bytes=size,
             duration_s=duration,
@@ -503,7 +506,7 @@ class Mac80211:
         ctx = self._current
         if ctx is None or ctx.phase != "data":
             return
-        if self._radio.state.value == "tx":
+        if self._radio._transmitting:
             return
         self._transmit_data(ctx)
 

@@ -257,6 +257,10 @@ class Channel:
         self._tbl_pick_offsets: Optional[np.ndarray] = None
         # Registration-dependent arrays (insertion order = scalar-loop order).
         self._radio_list: List["Radio"] = []
+        # Each radio's bound ``signal_start``, built with the list above:
+        # rows hold these, so a delivery posts a stored callable instead
+        # of binding a new method object per receiver per frame.
+        self._receivers: List[Callable[[Frame, float, float], None]] = []
         self._radio_ids: Optional[np.ndarray] = None
         self._reg_index: Dict[int, int] = {}
         self._cs_thresholds: Optional[np.ndarray] = None
@@ -399,6 +403,7 @@ class Channel:
         self._rows = {}
         if self._radio_ids is None:
             self._radio_list = list(self._radios.values())
+            self._receivers = [radio.signal_start for radio in self._radio_list]
             self._radio_ids = np.array(
                 [radio.node_id for radio in self._radio_list], dtype=np.intp
             )
@@ -526,9 +531,9 @@ class Channel:
                     self._filter_table()
                 lo, hi = self._tbl_pick_offsets[reg:reg + 2].tolist()
                 pick = self._tbl_pick[lo:hi]
-                radio_list = self._radio_list
+                receivers = self._receivers
                 row = (
-                    [radio_list[k] for k in self._tbl_cols[pick].tolist()],
+                    [receivers[k] for k in self._tbl_cols[pick].tolist()],
                     self._fault_offset.apply_row(
                         self._tbl_powers[pick], None, None,
                         self._cached_positions,
@@ -571,9 +576,9 @@ class Channel:
                     powers, thresholds, sel_ids, sender_id
                 )
                 pick = idx if reg_idx is None else reg_idx[idx]
-                radio_list = self._radio_list
+                receivers = self._receivers
                 row = (
-                    [radio_list[k] for k in pick.tolist()],
+                    [receivers[k] for k in pick.tolist()],
                     powers[idx].tolist(),
                     delays[idx].tolist(),
                 )
@@ -621,7 +626,7 @@ class Channel:
         if row is None:
             row = self._build_row(sender_id)
         if self._det_fast:
-            radios, powers, delays = row
+            receivers, powers, delays = row
         else:
             mask_other, state, delay_row, reg_idx, thresholds, sel_ids = row
             if self._propagation.deterministic:
@@ -643,15 +648,15 @@ class Channel:
                 )
             idx = np.nonzero(mask_other & (all_powers >= thresholds))[0]
             pick = idx if reg_idx is None else reg_idx[idx]
-            radio_list = self._radio_list
-            radios = [radio_list[k] for k in pick.tolist()]
+            all_receivers = self._receivers
+            receivers = [all_receivers[k] for k in pick.tolist()]
             powers = all_powers[idx].tolist()
             delays = delay_row[idx].tolist()
-        self.frames_delivered += len(radios)
-        self.frames_cs_dropped += len(self._radios) - 1 - len(radios)
+        self.frames_delivered += len(receivers)
+        self.frames_cs_dropped += len(self._radios) - 1 - len(receivers)
         post = self._sim.post
-        for radio, power, delay in zip(radios, powers, delays):
-            post(delay, radio.signal_start, frame, power, duration_s)
+        for receive, power, delay in zip(receivers, powers, delays):
+            post(delay, receive, frame, power, duration_s)
 
     def _transmit_scalar(
         self, sender_id: int, frame: Frame, duration_s: float

@@ -66,7 +66,7 @@ class Radio:
         "_sim", "_node_id", "_params", "_channel", "tx_power_w",
         "cs_threshold_w", "_rx_threshold_w", "_capture_ratio", "_mac",
         "_signals", "enabled", "_transmitting", "airtime_tx_s",
-        "airtime_rx_s",
+        "airtime_rx_s", "_signal_end_cb",
     )
     __setstate__ = slots.setstate
 
@@ -100,6 +100,9 @@ class Radio:
         #: transmitting (energy accounting; overlapping arrivals each
         #: count — the front end is demodulating throughout).
         self.airtime_rx_s = 0.0
+        #: Bound once here: every arriving signal posts its end event,
+        #: and binding the method per signal costs an object each time.
+        self._signal_end_cb = self._signal_end
         channel.register(self)
 
     # -- wiring ------------------------------------------------------------
@@ -213,7 +216,7 @@ class Radio:
         signals.append(signal)
         if not was_busy and self._mac is not None:
             self._mac.on_medium_busy()
-        self._sim.post(duration_s, self._signal_end, signal)
+        self._sim.post(duration_s, self._signal_end_cb, signal)
 
     def _signal_end(self, signal: _Signal) -> None:
         self._signals.remove(signal)

@@ -9,6 +9,7 @@ the network is partitioned).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from typing import Optional, Set
 
@@ -48,9 +49,8 @@ class Flooding(RoutingProtocol):
 
     def route_output(self, packet: Packet) -> None:
         self._seen.add(packet.uid)
-        capped = dataclasses.replace(
-            packet, ttl=min(packet.ttl, self.config.default_ttl)
-        )
+        capped = copy.copy(packet)
+        capped.ttl = min(packet.ttl, self.config.default_ttl)
         self.node.send_via(capped, BROADCAST)
 
     def forward_data(self, packet: Packet, prev_hop: int) -> None:

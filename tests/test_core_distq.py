@@ -339,10 +339,12 @@ def test_worker_killed_between_claim_and_heartbeat_is_reclaimed(tmp_path):
     victim.start()
     tid = queue.task_id(1)
     deadline = time.monotonic() + 10.0
-    while queue.read_claim(tid) is None:
+    claim = queue.read_claim(tid)
+    while claim is None or claim is CLAIM_IN_FLUX or claim.pid != victim.pid:
         assert time.monotonic() < deadline, "victim never claimed"
         time.sleep(0.01)
-    dead_owner = queue.read_claim(tid).owner
+        claim = queue.read_claim(tid)
+    dead_owner = claim.owner
     os.kill(victim.pid, signal.SIGKILL)
     victim.join()
 
@@ -355,6 +357,65 @@ def test_worker_killed_between_claim_and_heartbeat_is_reclaimed(tmp_path):
     reclaimed = queue.read_claim(tid)
     assert reclaimed.token == 2  # fenced past the corpse's generation
     assert queue.distinct_deaths(tid) == [dead_owner]
+
+
+def _die_inside_claim(root, key, step):
+    """Child-process helper: SIGKILL ourselves inside ``try_claim_fresh``.
+
+    ``write``: before the claim's content is written; ``link``: with the
+    content written, before it is published; ``unlink``: published, but
+    before the temporary file is removed.
+    """
+    def die(*args):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    if step == "write":
+        os.write = die
+    elif step == "link":
+        os.link = die
+    else:
+        real_link = os.link
+
+        def link_then_die(src, dst):
+            real_link(src, dst)
+            die()
+
+        os.link = link_then_die
+    queue = DirQueue(root, ttl_s=0.4)
+    queue.try_claim_fresh(queue.task_id(key), worker_identity())
+
+
+@pytest.mark.parametrize("step", ["write", "link", "unlink"])
+def test_worker_killed_inside_fresh_claim_does_not_wedge_the_queue(
+    tmp_path, step
+):
+    """Wherever the claim step dies, the claim is absent or complete:
+    the queue drains, within a bounded time."""
+    root = str(tmp_path / "q")
+    queue = make_queue(root, ttl_s=0.4)
+    for i in range(3):
+        queue.enqueue(queue_task(i))
+    context = multiprocessing.get_context("fork")
+    victim = context.Process(target=_die_inside_claim, args=(root, 1, step))
+    victim.start()
+    victim.join(10.0)
+    assert victim.exitcode == -signal.SIGKILL
+    tid = queue.task_id(1)
+    claim = queue.read_claim(tid)
+    assert claim is not CLAIM_IN_FLUX
+    assert (claim is None) == (step != "unlink")
+
+    drainer = context.Process(target=_drain, args=(root,))
+    drainer.start()
+    drainer.join(20.0)
+    if drainer.is_alive():
+        drainer.kill()
+        drainer.join()
+        pytest.fail(f"queue did not drain after a kill at {step!r}")
+    assert drainer.exitcode == 0
+    assert queue.drained()
+    for i in range(3):
+        assert queue.read_result(queue.task_id(i))["value"] == i * i
 
 
 def _drain(root):

@@ -173,8 +173,10 @@ def test_row_select_matches_reference(backend, seed):
             [channel._radios[n].cs_threshold_w for n in near]
         )
         idx = REFERENCE.row_filter(powers, thresholds, sel_ids, sender)
-        radios, row_powers, _ = channel._rows[sender]
-        assert [r.node_id for r in radios] == sel_ids[idx].tolist()
+        receivers, row_powers, _ = channel._rows[sender]
+        assert [
+            receive.__self__.node_id for receive in receivers
+        ] == sel_ids[idx].tolist()
         assert row_powers == powers[idx].tolist()
 
 

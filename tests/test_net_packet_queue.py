@@ -20,6 +20,25 @@ class TestPacket:
         assert forwarded.hops == 3
         assert forwarded.src == packet.src
 
+    def test_copy_for_forwarding_copies_every_slot(self):
+        packet = Packet("DATA", 0, 1, 10, 0.0)
+        # A distinct value in every slot, a field added later included:
+        # one the copy drops (left at its default) cannot match.
+        for offset, name in enumerate(Packet.__slots__):
+            setattr(packet, name, 100 + offset)
+        forwarded = packet.copy_for_forwarding()
+        changed = {"ttl": packet.ttl - 1, "hops": packet.hops + 1}
+        assert set(changed) < set(Packet.__slots__)
+        for name in Packet.__slots__:
+            expected = changed.get(name, getattr(packet, name))
+            assert getattr(forwarded, name) == expected, name
+
+    def test_takes_no_ad_hoc_attributes(self):
+        packet = Packet("DATA", 0, 1, 10, 0.0)
+        assert not hasattr(packet, "__dict__")
+        with pytest.raises(AttributeError):
+            packet.note = "extra"
+
     def test_is_data(self):
         assert Packet("DATA", 0, 1, 10, 0.0).is_data
         assert not Packet("AODV_RREQ", 0, 1, 10, 0.0).is_data

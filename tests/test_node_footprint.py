@@ -24,6 +24,7 @@ from repro.core.config import Scenario
 from repro.core.simulation import CavenetSimulation
 from repro.mac.dcf import Mac80211
 from repro.mac.frames import FrameType
+from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.routing import PROTOCOLS
 from repro.util.rng import RngStreams, _no_spawn_seed
@@ -176,20 +177,28 @@ def test_one_trial_loads_no_queue_machinery():
 
 
 class _PickledBeforeSlots:
-    """Pickles the way a DropTailQueue did while it had a ``__dict__``."""
+    """Pickles the way an object did while its class had a ``__dict__``."""
+
+    def __init__(self, obj):
+        self.cls = type(obj)
+        self.state = _slot_values(obj)
 
     def __reduce__(self):
-        state = {"_capacity": 3, "_queue": [], "drops": 2}
-        return (object.__new__, (DropTailQueue,), state)
+        return (object.__new__, (self.cls,), self.state)
+
+
+def _slot_values(obj):
+    return {name: getattr(obj, name) for name in type(obj).__slots__}
 
 
 def test_slotted_object_unpickles_slot_and_dict_state():
+    packet = Packet("DATA", 1, 2, 512, 0.5, flow_id=7, seq=3)
     queue = DropTailQueue(3)
-    queue.enqueue("packet", 1)
+    queue.enqueue(packet, 1)
     queue.drops = 2
-    for payload in (pickle.dumps(queue), pickle.dumps(_PickledBeforeSlots())):
-        restored = pickle.loads(payload)
-        assert type(restored) is DropTailQueue
-        assert not hasattr(restored, "__dict__")
-        assert (restored.capacity, restored.drops) == (3, 2)
-    assert list(pickle.loads(pickle.dumps(queue))._queue) == [("packet", 1)]
+    for obj in (queue, packet):
+        for payload in (pickle.dumps(obj), pickle.dumps(_PickledBeforeSlots(obj))):
+            restored = pickle.loads(payload)
+            assert type(restored) is type(obj)
+            assert not hasattr(restored, "__dict__")
+            assert _slot_values(restored) == _slot_values(obj)
