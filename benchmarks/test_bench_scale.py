@@ -2,9 +2,10 @@
 
 Seeded ring-road scenarios at N in {30, 300, 3000} — constant ~100 m
 vehicle spacing, so the road grows with N exactly as a city grows — drive
-scripted broadcasts through the channel twice: once on the dense O(N^2)
-link cache, once with uniform-grid spatial culling (cull radius = the
-550 m carrier-sense range).  Every configuration asserts the two paths
+scripted broadcasts through the channel twice: once on the dense link
+table (every radio in every sender's row, O(N^2) per slot), once with
+uniform-grid spatial culling (cull radius = the 550 m carrier-sense
+range).  Every configuration asserts the two paths
 decode the identical frame sets (two-ray propagation is deterministic, so
 culling is exact), then records the frames/s-per-node curve to
 ``benchmarks/out/BENCH_scale.json``.

@@ -1,8 +1,9 @@
 """CI smoke: grid culling is exact on a mid-scale end-to-end scenario.
 
 Runs the full simulation stack (mobility, PHY, MAC, routing, traffic)
-twice on one seeded 300-node scenario — once with the dense O(N^2)
-link cache, once with uniform-grid spatial culling — and requires the
+twice on one seeded 300-node scenario — once with the dense link table
+(every radio in every sender's row, O(N^2) per slot), once with
+uniform-grid spatial culling — and requires the
 two runs to be bit-identical: same PDR, same packet counts, same frames
 on air, same mean delay, same control overhead.
 

@@ -239,8 +239,10 @@ class TrialJournal:
         self._quarantined: Dict[str, QuarantineRecord] = {}
         has_content = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         if resume and has_content:
-            self._completed = read_completed(self.path, self.fingerprint)
-            self._quarantined = read_quarantine(self.path, self.fingerprint)
+            _header, records, _torn = scan_records(
+                self.path, self.fingerprint, load_values=True
+            )
+            self._completed, self._quarantined, _leases = _settle(records)
             self._file = open(self.path, "ab")
         else:
             self._file = open(self.path, "wb")
@@ -444,7 +446,7 @@ class TrialJournal:
 class _CorruptLine(ValueError):
     """Internal marker: a journal line failed structural validation.
 
-    Caught by :func:`read_completed`'s generic handler so it gets the same
+    Caught by :func:`scan_records`'s generic handler so it gets the same
     torn-tail tolerance and line-number wrapping as a JSON parse failure.
     """
 
@@ -460,53 +462,10 @@ def read_completed(
     final line.  Duplicate keys keep the *last* record (a trial re-run
     after a tolerated torn write simply supersedes itself).
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if not data:
-        raise JournalCorruptError(f"journal {path!r} is empty")
-    lines = data.split(b"\n")
-    # A file ending in "\n" splits into [.., b""]; drop that sentinel.  A
-    # file NOT ending in "\n" has a torn final line, which stays in the
-    # list and is given one chance to parse below.
-    tail_is_torn = bool(lines[-1])
-    if not tail_is_torn:
-        lines.pop()
-    entries: Dict[str, JournalEntry] = {}
-    for number, raw in enumerate(lines, start=1):
-        is_final = number == len(lines)
-        try:
-            obj = json.loads(raw.decode("utf-8"))
-            if not isinstance(obj, dict):
-                raise _CorruptLine("journal line is not an object")
-            if number == 1:
-                _check_header(obj, path, expect_fingerprint)
-                continue
-            if obj.get("kind") not in RECORD_KINDS:
-                raise _CorruptLine(
-                    f"unexpected line kind {obj.get('kind')!r}"
-                )
-            if obj.get("kind") != "trial":
-                continue  # supervision records; not completed trials
-            if obj.get("status") != "ok":
-                continue  # failures are informational; resume retries them
-            value = pickle.loads(
-                zlib.decompress(base64.b64decode(obj["value"]))
-            )
-            entries[obj["key"]] = JournalEntry(
-                key_id=obj["key"],
-                value=value,
-                attempts=int(obj.get("attempts", 1)),
-                wall_clock_s=float(obj.get("wall_clock_s", 0.0)),
-            )
-        except JournalCorruptError:
-            raise
-        except Exception as exc:
-            if is_final and tail_is_torn:
-                break  # torn tail: the crash the journal exists to survive
-            raise JournalCorruptError(
-                f"journal {path!r} line {number} is corrupt: {exc}"
-            ) from exc
-    return entries
+    _header, records, _torn = scan_records(
+        path, expect_fingerprint, load_values=True
+    )
+    return _settle(records)[0]
 
 
 def _check_header(
@@ -534,17 +493,34 @@ def _check_header(
         )
 
 
+def _entry(obj: Dict[str, Any]) -> JournalEntry:
+    """The completed trial of an ``ok`` trial record, value unpickled."""
+    return JournalEntry(
+        key_id=obj["key"],
+        value=pickle.loads(zlib.decompress(base64.b64decode(obj["value"]))),
+        attempts=int(obj.get("attempts", 1)),
+        wall_clock_s=float(obj.get("wall_clock_s", 0.0)),
+    )
+
+
 def scan_records(
-    path: str, expect_fingerprint: Optional[str] = None
+    path: str,
+    expect_fingerprint: Optional[str] = None,
+    load_values: bool = False,
 ) -> Tuple[Dict[str, Any], List[Tuple[bytes, Dict[str, Any]]], bool]:
     """Low-level journal scan: ``(header, [(raw_line, record)], torn)``.
 
     The raw line bytes ride along with each parsed record so tools that
     rewrite journals (:func:`compact_journal`) can keep surviving lines
-    byte-identical instead of re-encoding pickled payloads.  Same
-    validation and torn-tail policy as :func:`read_completed`; unknown
-    record kinds are corruption, a torn final line is tolerated and
-    reported via the returned flag.
+    byte-identical instead of re-encoding pickled payloads.  Validation:
+    a missing or malformed header, an unknown schema version, a
+    fingerprint mismatch and unknown record kinds raise
+    :class:`~repro.util.errors.JournalCorruptError`, as does any line
+    that fails to parse — except the final one of a file that does not
+    end in a newline (the torn tail a crash leaves), which is dropped
+    and reported via the returned flag.  With ``load_values`` every
+    ``ok`` trial record's value is unpickled under the same policy and
+    kept in the record as ``"entry"`` (a :class:`JournalEntry`).
     """
     try:
         with open(path, "rb") as handle:
@@ -554,6 +530,9 @@ def scan_records(
     if not data:
         raise JournalCorruptError(f"journal {path!r} is empty")
     lines = data.split(b"\n")
+    # A file ending in "\n" splits into [.., b""]; drop that sentinel.  A
+    # file NOT ending in "\n" has a torn final line, which stays in the
+    # list and is given one chance to parse below.
     tail_is_torn = bool(lines[-1])
     if not tail_is_torn:
         lines.pop()
@@ -570,21 +549,70 @@ def scan_records(
                 _check_header(obj, path, expect_fingerprint)
                 header = obj
                 continue
-            if obj.get("kind") not in RECORD_KINDS:
-                raise _CorruptLine(
-                    f"unexpected line kind {obj.get('kind')!r}"
-                )
+            kind = obj.get("kind")
+            if kind not in RECORD_KINDS:
+                raise _CorruptLine(f"unexpected line kind {kind!r}")
+            if load_values and kind == "trial" and obj.get("status") == "ok":
+                obj["entry"] = _entry(obj)
             records.append((raw, obj))
         except JournalCorruptError:
             raise
         except Exception as exc:
             if is_final and tail_is_torn:
-                torn = True
+                torn = True  # the crash the journal exists to survive
                 break
             raise JournalCorruptError(
                 f"journal {path!r} line {number} is corrupt: {exc}"
             ) from exc
     return header, records, torn
+
+
+def _settle(records) -> Tuple[
+    Dict[str, JournalEntry],
+    Dict[str, QuarantineRecord],
+    Dict[str, LeaseRecord],
+]:
+    """Where a record stream leaves each key, in one pass: ``(completed,
+    quarantined, live leases)`` by the rules of :func:`read_completed`,
+    :func:`read_quarantine` and :func:`read_lease_state`.  Completed
+    trials need records scanned with ``load_values``.
+    """
+    completed: Dict[str, JournalEntry] = {}
+    parked: Dict[str, QuarantineRecord] = {}
+    leases: Dict[str, LeaseRecord] = {}
+    for _raw, obj in records:
+        kind = obj.get("kind")
+        if kind == "trial":
+            key = obj["key"]
+            leases.pop(key, None)
+            if obj.get("status") == "ok":
+                parked.pop(key, None)
+                if "entry" in obj:
+                    completed[key] = obj["entry"]
+        elif kind == "lease":
+            pid = obj.get("pid")
+            token = obj.get("token")
+            leases[obj["key"]] = LeaseRecord(
+                key_id=obj["key"],
+                owner=str(obj.get("owner", "?")),
+                attempt=int(obj.get("attempt", 1)),
+                deadline_unix=float(obj.get("deadline", 0.0)),
+                host=obj.get("host"),
+                pid=None if pid is None else int(pid),
+                token=None if token is None else int(token),
+            )
+        elif kind == "quarantine":
+            key = obj["key"]
+            leases.pop(key, None)
+            parked[key] = QuarantineRecord(
+                key_id=key,
+                owners=tuple(
+                    str(owner) for owner in obj.get("owners", ())
+                ),
+                attempts=int(obj.get("attempts", 1)),
+                traceback=str(obj.get("traceback", "")),
+            )
+    return completed, parked, leases
 
 
 def read_lease_state(
@@ -597,25 +625,7 @@ def read_lease_state(
     claims still open when the journal was last written — what ``repro
     journal inspect`` lists.
     """
-    _header, records, _torn = scan_records(path, expect_fingerprint)
-    leases: Dict[str, LeaseRecord] = {}
-    for _raw, obj in records:
-        kind = obj.get("kind")
-        if kind == "lease":
-            pid = obj.get("pid")
-            token = obj.get("token")
-            leases[obj["key"]] = LeaseRecord(
-                key_id=obj["key"],
-                owner=str(obj.get("owner", "?")),
-                attempt=int(obj.get("attempt", 1)),
-                deadline_unix=float(obj.get("deadline", 0.0)),
-                host=obj.get("host"),
-                pid=None if pid is None else int(pid),
-                token=None if token is None else int(token),
-            )
-        elif kind in ("trial", "quarantine"):
-            leases.pop(obj["key"], None)
-    return leases
+    return _settle(scan_records(path, expect_fingerprint)[1])[2]
 
 
 def read_quarantine(
@@ -627,22 +637,7 @@ def read_quarantine(
     re-quarantine after a manual un-park); an ``ok`` trial record lifts
     the quarantine — the operator evidently fixed and re-ran it.
     """
-    _header, records, _torn = scan_records(path, expect_fingerprint)
-    parked: Dict[str, QuarantineRecord] = {}
-    for _raw, obj in records:
-        kind = obj.get("kind")
-        if kind == "quarantine":
-            parked[obj["key"]] = QuarantineRecord(
-                key_id=obj["key"],
-                owners=tuple(
-                    str(owner) for owner in obj.get("owners", ())
-                ),
-                attempts=int(obj.get("attempts", 1)),
-                traceback=str(obj.get("traceback", "")),
-            )
-        elif kind == "trial" and obj.get("status") == "ok":
-            parked.pop(obj["key"], None)
-    return parked
+    return _settle(scan_records(path, expect_fingerprint)[1])[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -748,7 +743,7 @@ def inspect_journal(path: str) -> JournalStats:
     """Summarise a journal file without loading any trial values."""
     header, records, torn = scan_records(path)
     kept, superseded, counts = _partition_records(records)
-    live = read_lease_state(path)
+    live = _settle(records)[2]
     expired = sum(1 for lease in live.values() if lease.expired())
     return JournalStats(
         path=str(path),

@@ -36,7 +36,7 @@ Eleven kinds exist (:data:`KINDS`):
 ``kernels``
     Kernel-backend factories, ``factory(scenario=None) ->
     KernelBackend`` (see :mod:`repro.kernels`) — where the hot inner
-    loops (CA stepping, link-cache rows) execute;
+    loops of the cellular automata execute;
     every backend is bit-identical, only speed differs.
 ``backend``
     Execution-backend factories, ``factory(runner) ->

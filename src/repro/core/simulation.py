@@ -306,7 +306,6 @@ class CavenetSimulation:
             propagation,
             provider.positions,
             spatial=self.build_spatial(),
-            kernels=scenario.kernels,
             effects=self.build_effects(streams),
         )
         return channel, phy_params

@@ -1,8 +1,8 @@
-"""Registry-selectable kernel backends for the simulator's hot loops.
+"""Registry-selectable kernel backends for the cellular automata's hot loops.
 
 The ``kernels`` registry namespace names *where* the hot inner loops
-run — NaSch CA stepping, cyclic gaps, the link-cache receiver
-filter — without changing *what* they compute (every backend is bit-identical
+run — NaSch CA stepping and cyclic gaps — without changing *what*
+they compute (every backend is bit-identical
 to the pure-Python reference; see :mod:`repro.kernels.pyref` for the
 rules that make that guarantee hold).
 

@@ -1,14 +1,14 @@
 """The kernel-backend contract (and its pure-Python implementation).
 
-A *kernel backend* supplies the hot inner loops of a run — the NaSch
-update, the cyclic gap sweep and the link-cache receiver filter —
-behind a fixed method surface.  Components (``NagelSchreckenberg``,
-``MultiLaneRoad``, ``Channel``) take a backend (or its
+A *kernel backend* supplies the hot inner loops of the cellular
+automata — the NaSch update and the cyclic gap sweep — behind a fixed
+method surface, ``nasch_step`` and ``cyclic_gaps``.  The CA models
+(``NagelSchreckenberg``, ``MultiLaneRoad``) take a backend (or its
 registry name) at construction and call only these methods, so
 swapping ``kernels="python"`` for ``kernels="vector"`` changes *how*
 the loops execute and nothing about what they compute: every backend
 is bit-identical by contract, and the default-scenario goldens plus
-the grid-vs-dense identity tests run under both built-in backends to
+the CA trajectory identity tests run under both built-in backends to
 enforce it.
 
 :class:`KernelBackend` doubles as the ``"python"`` backend: its
@@ -36,8 +36,8 @@ def _restore_backend(name: str) -> "KernelBackend":
     name (``cjit``, ``numba``) resolves like ``auto`` with the usual
     one-time warning.  Simulation results are
     detached and hold no backend, but pickled CA models do, and so do
-    results in journals written before results were detached (their
-    channel's backend, restored through this hook).
+    results in journals written before results were detached (the
+    backend their channel held then, restored through this hook).
     """
     from repro.kernels import resolve_backend
 
@@ -76,19 +76,6 @@ class KernelBackend:
         if len(pos):
             pyref.cyclic_gaps(pos, num_cells, out)
         return out
-
-    # -- PHY link-cache rows -------------------------------------------------
-
-    def row_filter(self, powers, thresholds, sel_ids, sender_id):
-        """Indices (into the row) above carrier sense, sender excluded."""
-        sel_ids = np.ascontiguousarray(sel_ids, dtype=np.int64)
-        out = np.empty(len(powers), dtype=np.int64)
-        k = pyref.row_filter(
-            np.ascontiguousarray(powers, dtype=np.float64),
-            np.ascontiguousarray(thresholds, dtype=np.float64),
-            sel_ids, sender_id, out,
-        )
-        return out[:k]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<kernel backend {self.name!r} compiled={self.compiled}>"

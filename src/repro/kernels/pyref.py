@@ -1,11 +1,11 @@
 """Pure-Python reference kernels: the bit-identity ground truth.
 
 Every function here is the explicit-loop statement of one hot inner
-loop — the NaSch update, cyclic gaps, the link-cache receiver filter:
-plain ``for`` loops over preallocated int64/float64/bool arrays, no
-Python containers, no allocation, results returned as counts or
-indices.  Each one is the specification a faster backend is proven
-bit-identical against (``tests/test_kernels.py``).
+loop — the NaSch update, cyclic gaps: plain ``for`` loops over
+preallocated int64/float64/bool arrays, no Python containers, no
+allocation, results returned as indices or written in place.  Each
+one is the specification a faster backend is proven bit-identical
+against (``tests/test_kernels.py``).
 
 Bit-identity rules the kernels obey (see docs/API.md "Kernel
 backends"):
@@ -14,12 +14,10 @@ backends"):
   the caller from the owning component's generator in the documented
   order and passed in as a pre-drawn variate array, so every backend
   consumes the stream identically.
-* **No transcendental math inside a kernel.**  Distances (hypot) and
-  received powers come in as arrays computed by the shared numpy code;
-  kernels only do integer state evolution, IEEE +,-,*,/ and
-  comparisons — operations that are exact (or correctly rounded) on
-  every backend, so results match bit for bit across the python loops
-  and numpy.
+* **No transcendental math inside a kernel.**  Kernels only do
+  integer state evolution, IEEE +,-,*,/ and comparisons — operations
+  that are exact (or correctly rounded) on every backend, so results
+  match bit for bit across the python loops and numpy.
 * **First-index tie-breaking.**  Where the vectorized code reports
   ``argmax`` of a violation mask, kernels report the first offending
   index; output index lists preserve input order.
@@ -82,19 +80,4 @@ def cyclic_gaps(pos, num_cells, out):
         return
     for i in range(n):
         out[i] = (pos[(i + 1) % n] - pos[i] - 1) % num_cells
-
-
-def row_filter(powers, thresholds, sel_ids, sender, out_idx):
-    """Receiver selection: above carrier sense and not the sender.
-
-    Writes surviving indices (into the row arrays, in order) to
-    ``out_idx`` and returns their count.  NaN powers compare false and
-    are dropped, matching ``powers >= thresholds`` under numpy.
-    """
-    k = 0
-    for i in range(powers.shape[0]):
-        if powers[i] >= thresholds[i] and sel_ids[i] != sender:
-            out_idx[k] = i
-            k += 1
-    return k
 

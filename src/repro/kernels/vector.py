@@ -69,9 +69,3 @@ class VectorBackend(KernelBackend):
         if len(pos):
             _ring_gaps(pos, num_cells, gaps)
         return gaps
-
-    # -- PHY link-cache rows -------------------------------------------------
-
-    def row_filter(self, powers, thresholds, sel_ids, sender_id):
-        mask = (powers >= thresholds) & (sel_ids != sender_id)
-        return np.nonzero(mask)[0]

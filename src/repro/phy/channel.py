@@ -12,24 +12,59 @@ adapts a :class:`~repro.mobility.trace.TracePlayer` and caches the whole
 position matrix on a coarse time grid (vehicles move ~10 m/s while frames
 last ~1 ms, so per-frame exactness is noise).
 
-Fast path
----------
+Link table
+----------
 
 ``transmit`` is the hottest call in every network run (once per frame, over
 hundreds of thousands of frames).  Because the position provider quantizes
 time into slots, everything distance-dependent is constant within a slot, so
-the channel keeps a *link cache*: on the first transmission after the
-positions change it computes the full N x N distance matrix in one
-vectorized shot (and, for deterministic propagation with a uniform transmit
-power, the whole received-power matrix too); each sender's first frame in a
-slot then materializes a per-sender row — for deterministic models the
-final filtered receiver list with powers and propagation delays, for
-stochastic models the fading-free link state from
-:meth:`~repro.phy.propagation.PropagationModel.link_cache_row` so that only
-the per-frame fading batch is drawn per transmission.  Event scheduling
-order, received powers and RNG consumption are bit-identical to the scalar
-reference loop (kept available via ``fast_path=False`` and locked in by the
-equivalence tests).
+on the first transmission after the positions change the channel builds one
+*link table* for the slot: every registered sender's candidate receivers,
+in registration order, as CSR — one offsets array plus flat per-pair
+arrays (receiver registration index, distance) — in a few vectorized
+passes.  A sender's row is its slice of the table.
+
+Where the candidates come from is the only difference between the two
+``spatial`` registry entries.  ``dense`` (``spatial=None``) makes every
+registered radio a candidate of every sender; those pairs depend only on
+the registrations, so they are built once per registration change and
+only the distances are redone per slot.  A spatial index (``spatial=``,
+built from the ``spatial`` registry — see :mod:`repro.phy.spatial`)
+re-buckets the nodes into a uniform grid in O(N log N) per slot and
+makes a sender's candidates the radios in its 3 x 3 cell neighbourhood,
+so the table is O(N k) instead of O(N^2).
+
+When the row finish does not depend on the sender (deterministic
+propagation, no channel effects, one shared transmit power) the table is
+*eager*: received powers, propagation delays, the fault offset and the
+carrier-sense filter are computed for the whole table at once, and a row
+is a slice plus ``tolist()``.  Every other case finishes per row: static
+effects and per-radio transmit power bake into a deterministic row at
+its first use in the slot; stochastic models keep the fading-free link
+state from :meth:`~repro.phy.propagation.PropagationModel.link_cache_row`
+so that only the per-frame fading batch is drawn per transmission.  One
+carrier-sense predicate — power at or above the receiver's threshold,
+the sender excluded — filters the table, the rows and the per-frame
+finish.  Event scheduling order, received powers and RNG consumption are
+bit-identical to the scalar reference loop (kept available via
+``fast_path=False`` and locked in by the equivalence tests).
+
+``links_evaluated`` keeps its per-row meaning: a sender's first frame in
+a slot adds its row length, as if the row were built then.  On the grid,
+nodes outside the radius are accounted as carrier-sense drops — which,
+for deterministic propagation with the cull radius covering the maximum
+link range, is exactly what the dense table would have decided, so
+deliveries, powers, delays and every counter stay bit-identical.
+Stochastic propagation draws fading per visited link, so culling changes
+RNG consumption relative to dense (documented in docs/API.md); the run
+remains seeded and self-consistent.
+
+Cost model: the grid table is a fixed cost per slot, paid whatever the
+traffic.  For 3000 nodes on a ring (~57k pairs) it takes 6–8 ms on a
+2-vCPU Xeon host, and it saves ~80 µs per sending node against per-sender
+row builds (~100 µs each).  It pays off once roughly 1 node in 40
+transmits in a slot; a HELLO-beaconing highway (one beacon per node per
+second, 0.1 s slots) sits at 1 in 10.
 
 Cache-coherence contract: the positions callable must return a *new array
 object* whenever positions change (returning the same object signals "still
@@ -37,45 +72,6 @@ valid").  :class:`CachedPositionProvider` and
 :class:`~repro.mobility.trace.TracePlayer` both do; a provider that mutates
 and returns one array in place must be wrapped or used with
 ``fast_path=False``.
-
-Spatial culling
----------------
-
-At city scale the dense rebuild (a full ``N x N`` distance matrix per
-position slot) and the per-transmission visit of every radio are the
-O(N^2) bottlenecks.  Passing a spatial index (``spatial=``, built from
-the ``spatial`` registry — see :mod:`repro.phy.spatial`) switches both to
-sparse.  The per-slot rebuild re-buckets the nodes into a uniform grid
-in O(N log N) and builds one *neighbour table* for the slot: every
-registered sender's candidate receivers (its 3 x 3 cell neighbourhood),
-in registration order, as CSR — one offsets array plus flat per-pair
-arrays — in a few vectorized passes.  A sender's row is then its slice
-of the table.  When the row finish does not depend on the sender
-(deterministic propagation, no channel effects, one shared transmit
-power) the table is *eager*: received powers, propagation delays, the
-fault offset and the carrier-sense filter are computed for the whole
-table at once, and a row is a slice plus ``tolist()``.  Every other
-case (stochastic propagation, an effect stack, per-radio transmit
-power) takes the row's receivers and distances from the table and
-finishes per row exactly as the dense path does, so RNG draw order is
-unchanged.
-
-Cost model: the table is a fixed cost per slot, paid whatever the
-traffic.  For 3000 nodes on a ring (~57k pairs) it takes 6–8 ms on a
-2-vCPU Xeon host, and it saves ~80 µs per sending node against the
-per-sender row builds it replaced (~100 µs each).  It pays off once
-roughly 1 node in 40 transmits in a slot; a HELLO-beaconing highway
-(one beacon per node per second, 0.1 s slots) sits at 1 in 10.
-``links_evaluated`` keeps its per-row meaning: a sender's first frame
-in a slot adds its row length, as if the row were built then.
-
-Nodes outside the radius are accounted as carrier-sense drops — which,
-for deterministic propagation with the cull radius covering the
-maximum link range, is exactly what the dense path would have decided,
-so deliveries, powers, delays and every counter stay bit-identical.
-Stochastic propagation draws fading per visited link, so culling
-changes RNG consumption relative to dense (documented in docs/API.md);
-the run remains seeded and self-consistent.
 
 Channel effects
 ---------------
@@ -101,7 +97,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.des.engine import Simulator
-from repro.kernels import resolve_backend
 from repro.mac.frames import Frame
 from repro.mobility.trace import TracePlayer
 from repro.phy.effects import ChannelEffect, DbOffset
@@ -161,11 +156,11 @@ class Channel:
     * ``frames_delivered`` — per-receiver deliveries scheduled (signal
       above the carrier-sense threshold);
     * ``frames_cs_dropped`` — per-receiver drops below carrier sense;
-    * ``cache_lookups`` / ``cache_rebuilds`` — fast-path link-cache
-      accesses and distance-matrix (or grid-bucket) rebuilds (a lookup
-      that needs no rebuild is a hit);
-    * ``links_evaluated`` — links whose distance/power a row build
-      actually computed; with spatial culling this grows ~O(k) per row
+    * ``cache_lookups`` / ``cache_rebuilds`` — fast-path link-table
+      accesses and per-slot table rebuilds (a lookup that needs no
+      rebuild is a hit);
+    * ``links_evaluated`` — the row lengths of the rows a slot's
+      frames used; with spatial culling this grows ~O(k) per row
       instead of O(N), which is the whole point.
 
     Args:
@@ -173,15 +168,12 @@ class Channel:
         propagation: large-scale path-loss model.
         positions: callable returning the current ``(N, 2)`` matrix.
         propagation_delay: schedule deliveries after distance/c.
-        fast_path: keep the vectorized link cache (the scalar reference
+        fast_path: keep the vectorized link table (the scalar reference
             loop ignores ``spatial`` — it exists to be exact and slow).
         spatial: optional neighbor-culling index (see
             :mod:`repro.phy.spatial`) implementing ``rebuild(positions)``
-            and ``neighbor_table(nodes)``; ``None`` keeps the dense path.
-        kernels: kernel backend (name or instance) executing the
-            per-row receiver filter; see :mod:`repro.kernels`.
-            Bit-identical across backends — powers and distances stay
-            on the shared numpy arithmetic, kernels only filter.
+            and ``neighbor_table(nodes)``; ``None`` keeps the dense
+            table (every registered radio in every row).
         effects: ordered channel-effect stack (see
             :mod:`repro.phy.effects`) applied to every link's receive
             power after the propagation model; an empty stack is the
@@ -196,7 +188,6 @@ class Channel:
         propagation_delay: bool = True,
         fast_path: bool = True,
         spatial: Optional[object] = None,
-        kernels="auto",
         effects: Sequence[ChannelEffect] = (),
     ) -> None:
         self._sim = sim
@@ -205,7 +196,6 @@ class Channel:
         self._prop_delay = propagation_delay
         self._fast_path = fast_path
         self._spatial = spatial
-        self._kernels = resolve_backend(kernels)
         self._radios: Dict[int, "Radio"] = {}
         self.frames_transmitted = 0
         self.frames_delivered = 0
@@ -238,23 +228,22 @@ class Channel:
         # perturb the cache_lookups/cache_rebuilds telemetry.
         self._snr_positions: Optional[np.ndarray] = None
         self._snr_cache: Dict[tuple, float] = {}
-        # Link cache, valid for one positions object (= one position slot).
+        # Link table (see "Link table"), valid for one positions object
+        # (= one position slot): row r (registration index of the
+        # sender) spans _tbl_offsets[r]:_tbl_offsets[r + 1] of the
+        # per-pair arrays; _rows caches each sender's finished row.
         self._cached_positions: Optional[np.ndarray] = None
-        self._dist: Optional[np.ndarray] = None
-        self._power_matrix: Optional[np.ndarray] = None
         self._rows: Dict[int, tuple] = {}
-        # Grid neighbour table (see "Spatial culling"), one per slot: row
-        # r (registration index of the sender) spans
-        # _tbl_offsets[r]:_tbl_offsets[r + 1] of the per-pair arrays.
         self._tbl_offsets: Optional[np.ndarray] = None
         self._tbl_cols: Optional[np.ndarray] = None
         self._tbl_dist: Optional[np.ndarray] = None
         self._tbl_powers: Optional[np.ndarray] = None
         self._tbl_delays: Optional[np.ndarray] = None
-        # Eager tables only: the pairs above carrier sense (indices into
-        # the per-pair arrays) and their per-row offsets; None = stale.
-        self._tbl_pick: Optional[np.ndarray] = None
-        self._tbl_pick_offsets: Optional[np.ndarray] = None
+        # Eager tables only: the pairs above carrier sense, compacted in
+        # table order as (receiver registration indices, shaded powers,
+        # delays), and their per-row offsets; None = stale.
+        self._tbl_audible: Optional[Tuple[np.ndarray, ...]] = None
+        self._tbl_audible_offsets: Optional[np.ndarray] = None
         # Registration-dependent arrays (insertion order = scalar-loop order).
         self._radio_list: List["Radio"] = []
         # Each radio's bound ``signal_start``, built with the list above:
@@ -323,13 +312,12 @@ class Channel:
         factor absolutely; the ``channel-degradation`` fault restores
         1.0 when its burst ends.  Invalidation is as narrow as the
         staleness: only *deterministic* per-sender rows (and an eager
-        neighbour table's carrier-sense filter) bake the factor into
+        link table's carrier-sense filter) bake the factor into
         their filtered powers, so only those are dropped here; per-frame
         rows apply the factor per frame and survive, and the
-        attenuation-free structures — the distance/power matrices, the
-        spatial index's grid cells and the neighbour table's pairs,
-        distances, delays and unshaded powers — always survive, so a
-        burst never forces an O(N^2) (or even O(N log N)) rebuild.
+        attenuation-free structures — the spatial index's grid cells
+        and the link table's pairs, distances, delays and unshaded
+        powers — always survive, so a burst never rebuilds the table.
 
         Internally this drives the channel's own
         :class:`~repro.phy.effects.DbOffset` instance, which sits at a
@@ -343,7 +331,7 @@ class Channel:
             self._fault_offset.factor = factor
             if self._det_fast:
                 self._rows = {}
-                self._tbl_pick = None
+                self._tbl_audible = None
             self._snr_cache = {}
 
     # -- link quality (rate adaptation) -------------------------------------
@@ -388,16 +376,10 @@ class Channel:
             self._snr_cache[key] = snr
         return snr
 
-    # -- link cache ---------------------------------------------------------
+    # -- link table ---------------------------------------------------------
 
     def _refresh_cache(self, positions: np.ndarray) -> None:
-        """Rebuild the per-slot link cache for a new positions matrix.
-
-        Dense: the full pairwise distance matrix (and, when possible,
-        the received-power matrix) in one vectorized shot.  Spatial:
-        re-bucket the nodes into the grid — O(N log N) instead of
-        O(N^2) — and build the slot's neighbour table from it.
-        """
+        """Rebuild the per-slot link table for a new positions matrix."""
         self.cache_rebuilds += 1
         self._cached_positions = positions
         self._rows = {}
@@ -414,23 +396,8 @@ class Channel:
                 [radio.cs_threshold_w for radio in self._radio_list],
                 dtype=float,
             )
-        self._dist = None
-        self._power_matrix = None
-        if self._spatial is not None:
-            self._build_table(positions)
-            return
-        # Full pairwise distances: dist[s, j] = |positions[j] - positions[s]|,
-        # the same subtraction + hypot the scalar loop performs per pair.
-        diff = positions[None, :, :] - positions[:, None, :]
-        self._dist = np.hypot(diff[..., 0], diff[..., 1])
-        # For deterministic propagation with one shared transmit power the
-        # whole received-power matrix is precomputed in a single batch.
-        if self._propagation.deterministic:
-            tx_power = self._shared_tx_power()
-            if tx_power is not None:
-                self._power_matrix = self._propagation.rx_power_vector(
-                    tx_power, self._dist
-                )
+            self._tbl_offsets = self._tbl_cols = None
+        self._build_table(positions)
 
     def _shared_tx_power(self) -> Optional[float]:
         """The transmit power of every radio, or ``None`` if they differ
@@ -439,25 +406,36 @@ class Channel:
         return tx_powers.pop() if len(tx_powers) == 1 else None
 
     def _build_table(self, positions: np.ndarray) -> None:
-        """The slot's neighbour table: every sender's candidate
-        receivers, in registration order, with their distances.
+        """The slot's link table: every sender's candidate receivers, in
+        registration order, with their distances.
 
-        The distance of each pair is the same elementwise subtraction
-        + hypot on the same operands as a per-sender row, so every
-        table row is bit-equal to the row a per-frame build would have
-        produced.  When the whole row finish is sender-independent
-        (deterministic propagation, no effects, one shared transmit
-        power) the table is *eager*: powers and delays replace the
-        distances, and the carrier-sense filter runs over the whole
-        table.  Every other case finishes per row.
+        On the dense path a row is every registered radio, and the
+        pairs depend only on the registrations, so they are built once
+        per registration change; a spatial index supplies the slot's
+        neighbour table instead.  The distance of each pair is the
+        same elementwise subtraction + hypot on the same operands as
+        the scalar loop's.  When the whole row finish is
+        sender-independent (deterministic propagation, no effects, one
+        shared transmit power) the table is *eager*: powers and delays
+        replace the distances, and the carrier-sense filter runs over
+        the whole table.  Every other case finishes per row.
         """
         # Drop the previous slot's arrays before allocating this one's.
-        self._tbl_cols = self._tbl_dist = None
-        self._tbl_powers = self._tbl_delays = None
-        self._tbl_pick = self._tbl_pick_offsets = None
+        self._tbl_dist = self._tbl_powers = self._tbl_delays = None
+        self._tbl_audible = self._tbl_audible_offsets = None
         ids = self._radio_ids
-        self._spatial.rebuild(positions)
-        offsets, cols = self._spatial.neighbor_table(ids)
+        if self._spatial is not None:
+            self._tbl_cols = None
+            self._spatial.rebuild(positions)
+            self._tbl_offsets, self._tbl_cols = self._spatial.neighbor_table(
+                ids
+            )
+        elif self._tbl_cols is None:
+            n = len(ids)
+            self._tbl_offsets = np.arange(n + 1, dtype=np.int64) * n
+            self._tbl_cols = np.tile(np.arange(n, dtype=np.int32), n)
+        offsets = self._tbl_offsets
+        cols = self._tbl_cols
         tx_power = None
         if self._det_fast and not self._static_effects:
             tx_power = self._shared_tx_power()
@@ -482,22 +460,27 @@ class Channel:
             out[lo:hi] = self._propagation.rx_power_vector(tx_power, dist)
             if self._prop_delay:
                 self._tbl_delays[lo:hi] = dist / SPEED_OF_LIGHT
-        self._tbl_offsets = offsets
-        self._tbl_cols = cols
+
+    def _audible(self, powers, cols, own) -> np.ndarray:
+        """The carrier-sense filter, shared by every finish: the links
+        at or above their receiver's threshold, the sender's own radio
+        (registration index ``own``) excluded.  NaN powers compare
+        false and drop."""
+        return (powers >= self._cs_thresholds[cols]) & (cols != own)
 
     def _filter_table(self) -> None:
         """Carrier-sense filter over a whole eager table.
 
-        Redone (lazily) after :meth:`set_attenuation`; the pairs,
-        powers and delays it reads never change within a slot.  The
-        fault offset is a flat factor, identical for every link, so it
-        applies to the whole table at once.
+        Keeps the audible pairs compacted, so an eager row is three
+        slices.  Redone (lazily) after :meth:`set_attenuation`; the
+        pairs, powers and delays it reads never change within a slot.
+        The fault offset is a flat factor, identical for every link, so
+        it applies to the whole table at once.
         """
         offsets = self._tbl_offsets
         cols = self._tbl_cols
         parts = []
         for r0, r1, lo, hi in row_blocks(offsets):
-            block = cols[lo:hi]
             powers = self._fault_offset.apply_row(
                 self._tbl_powers[lo:hi], None, None, self._cached_positions
             )
@@ -505,105 +488,73 @@ class Channel:
                 np.arange(r0, r1, dtype=np.int32),
                 np.diff(offsets[r0:r1 + 1]),
             )
-            keep = (powers >= self._cs_thresholds[block]) & (block != own)
-            parts.append((np.flatnonzero(keep) + lo).astype(np.int32))
-        pick = np.concatenate(parts or [np.empty(0, np.int32)])
-        self._tbl_pick_offsets = np.searchsorted(pick, offsets)
-        self._tbl_pick = pick
+            keep = self._audible(powers, cols[lo:hi], own)
+            parts.append(np.flatnonzero(keep) + lo)
+        pick = np.concatenate(parts or [np.empty(0, np.intp)])
+        self._tbl_audible_offsets = np.searchsorted(pick, offsets)
+        self._tbl_audible = (
+            cols[pick],
+            self._fault_offset.apply_row(
+                self._tbl_powers[pick], None, None, self._cached_positions
+            ),
+            self._tbl_delays[pick],
+        )
 
     def _build_row(self, sender_id: int) -> tuple:
-        """Materialize the per-sender row of the link cache.
+        """Materialize a sender's row from its slice of the slot's table.
 
-        Dense rows cover every registered radio; grid rows are the
-        sender's slice of the slot's neighbour table — the candidates
-        within the cull radius, in registration order, so receivers
-        are visited in the same relative order either way.  A grid
-        row's distances are bit-equal to the dense row's values at the
-        surviving indices.
+        Deterministic rows are filtered once: ``(receivers, powers,
+        delays)`` of the audible links, from the eager table's compacted
+        pairs or, otherwise, with the sender's transmit power and the
+        static effects baked in.  Stochastic rows, and deterministic
+        ones under per-frame effects, keep the unfiltered link state and
+        finish per transmission (see :meth:`transmit`), so only the
+        per-frame draws are made per frame.
         """
-        ids = self._radio_ids
-        if self._spatial is not None:
-            reg = self._reg_index[sender_id]
-            start, end = self._tbl_offsets[reg:reg + 2].tolist()
-            self.links_evaluated += end - start
-            if self._tbl_powers is not None:
-                if self._tbl_pick is None:
-                    self._filter_table()
-                lo, hi = self._tbl_pick_offsets[reg:reg + 2].tolist()
-                pick = self._tbl_pick[lo:hi]
-                receivers = self._receivers
-                row = (
-                    [receivers[k] for k in self._tbl_cols[pick].tolist()],
-                    self._fault_offset.apply_row(
-                        self._tbl_powers[pick], None, None,
-                        self._cached_positions,
-                    ).tolist(),
-                    self._tbl_delays[pick].tolist(),
-                )
+        reg = self._reg_index[sender_id]
+        start, end = self._tbl_offsets[reg:reg + 2].tolist()
+        self.links_evaluated += end - start
+        if self._tbl_powers is not None:
+            if self._tbl_audible is None:
+                self._filter_table()
+            lo, hi = self._tbl_audible_offsets[reg:reg + 2].tolist()
+            cols, powers, delays = (a[lo:hi] for a in self._tbl_audible)
+        else:
+            cols = self._tbl_cols[start:end]
+            sel_ids = self._radio_ids[cols]
+            dist_row = self._tbl_dist[start:end]
+            tx_power = self._radios[sender_id].tx_power_w
+            if self._prop_delay:
+                delays = dist_row / SPEED_OF_LIGHT
+            else:
+                delays = np.zeros(len(dist_row))
+            if self._propagation.deterministic:
+                powers = self._propagation.rx_power_vector(tx_power, dist_row)
+                # Static effects bake into the cached row (stack order,
+                # then the fault offset — the canonical order of every
+                # path).
+                for effect in self._static_effects:
+                    powers = effect.apply_row(
+                        powers, sender_id, sel_ids, self._cached_positions
+                    )
+                state = powers
+            else:
+                state = self._propagation.link_cache_row(tx_power, dist_row)
+            if not self._det_fast:
+                row = (state, delays, cols, reg, sel_ids)
                 self._rows[sender_id] = row
                 return row
-            reg_idx = self._tbl_cols[start:end]
-            sel_ids = ids[reg_idx]
-            dist_row = self._tbl_dist[start:end]
-            thresholds = self._cs_thresholds[reg_idx]
-        else:
-            reg_idx = None
-            sel_ids = ids
-            dist_row = self._dist[sender_id][ids]
-            thresholds = self._cs_thresholds
-            self.links_evaluated += len(dist_row)
-        tx_power = self._radios[sender_id].tx_power_w
-        if self._prop_delay:
-            delays = dist_row / SPEED_OF_LIGHT
-        else:
-            delays = np.zeros(len(dist_row))
-        if self._propagation.deterministic:
-            if self._power_matrix is not None:
-                powers = self._power_matrix[sender_id][ids]
-            else:
-                powers = self._propagation.rx_power_vector(tx_power, dist_row)
-            # Static effects bake into the cached row (stack order, then
-            # the fault offset — the canonical order of every path).
-            for effect in self._static_effects:
-                powers = effect.apply_row(
-                    powers, sender_id, sel_ids, self._cached_positions
-                )
-            if self._det_fast:
-                powers = self._fault_offset.apply_row(
-                    powers, sender_id, sel_ids, self._cached_positions
-                )
-                idx = self._kernels.row_filter(
-                    powers, thresholds, sel_ids, sender_id
-                )
-                pick = idx if reg_idx is None else reg_idx[idx]
-                receivers = self._receivers
-                row = (
-                    [receivers[k] for k in pick.tolist()],
-                    powers[idx].tolist(),
-                    delays[idx].tolist(),
-                )
-            else:
-                # Per-frame effects in play: keep the statically-shaded
-                # powers and finish (fault offset + per-frame stack +
-                # filtering) per transmission, like stochastic rows.
-                row = (
-                    sel_ids != sender_id,
-                    powers,
-                    delays,
-                    reg_idx,
-                    thresholds,
-                    sel_ids,
-                )
-        else:
-            state = self._propagation.link_cache_row(tx_power, dist_row)
-            row = (
-                sel_ids != sender_id,
-                state,
-                delays,
-                reg_idx,
-                thresholds,
-                sel_ids,
+            powers = self._fault_offset.apply_row(
+                powers, sender_id, sel_ids, self._cached_positions
             )
+            idx = np.flatnonzero(self._audible(powers, cols, reg))
+            cols, powers, delays = cols[idx], powers[idx], delays[idx]
+        receivers = self._receivers
+        row = (
+            [receivers[k] for k in cols.tolist()],
+            powers.tolist(),
+            delays.tolist(),
+        )
         self._rows[sender_id] = row
         return row
 
@@ -628,7 +579,7 @@ class Channel:
         if self._det_fast:
             receivers, powers, delays = row
         else:
-            mask_other, state, delay_row, reg_idx, thresholds, sel_ids = row
+            state, delay_row, cols, reg, sel_ids = row
             if self._propagation.deterministic:
                 # Static effects are already baked into the cached row.
                 all_powers = state
@@ -646,10 +597,9 @@ class Channel:
                 all_powers = effect.apply_frame(
                     all_powers, sender_id, sel_ids
                 )
-            idx = np.nonzero(mask_other & (all_powers >= thresholds))[0]
-            pick = idx if reg_idx is None else reg_idx[idx]
+            idx = np.flatnonzero(self._audible(all_powers, cols, reg))
             all_receivers = self._receivers
-            receivers = [all_receivers[k] for k in pick.tolist()]
+            receivers = [all_receivers[k] for k in cols[idx].tolist()]
             powers = all_powers[idx].tolist()
             delays = delay_row[idx].tolist()
         self.frames_delivered += len(receivers)

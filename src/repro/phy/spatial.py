@@ -1,8 +1,8 @@
 """Spatial neighbor culling for the channel's receive fan-out.
 
-At city scale (thousands of vehicles) the dense link cache rebuilds an
-``N x N`` distance matrix per position slot and visits every radio per
-transmission — O(N^2) work that collapses somewhere past a few hundred
+At city scale (thousands of vehicles) the dense link table lists every
+radio in every sender's row, so each position slot costs ``N^2``
+distances — O(N^2) work that collapses somewhere past a few hundred
 nodes.  But the carrier-sense threshold already makes deliveries *local*:
 a signal below it is dropped by the channel, so the receive fan-out only
 ever needs the nodes within the maximum link range.  A uniform grid
@@ -95,7 +95,7 @@ class UniformGridIndex:
         """Re-bucket every node for a new ``(N, 2)`` position matrix.
 
         O(N log N) (one sort); called once per position slot by the
-        channel, in place of the dense path's O(N^2) distance matrix.
+        channel, in place of the dense table's O(N^2) distances.
         """
         positions = np.asarray(positions, dtype=float)
         coords = np.floor(positions / self.cell_size_m).astype(np.int64)

@@ -18,6 +18,7 @@ import shutil
 import numpy as np
 import pytest
 
+import repro.kernels as kernels
 from repro.core.config import Scenario
 from repro.core.experiment import compare_protocols
 from repro.core.simulation import CavenetSimulation
@@ -108,14 +109,23 @@ OLD_RESULT_JOURNAL = os.path.join(
 
 def _resume_old_journal(tmp_path):
     """The fixture's AODV result, resumed from a copy of its journal;
-    returns the campaign telemetry and the result."""
+    returns the campaign telemetry and the result.
+
+    The journal pickled its channel's kernel backend as ``"cjit"``, so
+    loading it warns once that the removed backend falls back to
+    ``auto``; the backend caches are reset so it warns every time.
+    """
     path = tmp_path / "old.jsonl"
     shutil.copyfile(OLD_RESULT_JOURNAL, path)
     telemetry = CampaignTelemetry()
-    comparison = compare_protocols(
-        OLD_RESULT_SCENARIO, ("AODV",), journal_path=str(path),
-        resume=True, telemetry=telemetry,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_BACKENDS", {})
+        patch.setattr(kernels, "_WARNED", set())
+        with pytest.warns(RuntimeWarning, match="cjit"):
+            comparison = compare_protocols(
+                OLD_RESULT_SCENARIO, ("AODV",), journal_path=str(path),
+                resume=True, telemetry=telemetry,
+            )
     return telemetry, comparison.results["AODV"]
 
 

@@ -4,16 +4,16 @@ The ``kernels`` namespace promises that every backend computes the
 same thing — only the clock changes.  This suite holds the backends to
 that promise at two levels: per-kernel (randomized array inputs
 through each method, compared elementwise against the pure-Python
-reference; grid link-cache rows against per-link reference loops) and
-per-model (full NaSch / multilane trajectories under a shared seed).
-Around the identity core sit the plumbing tests: the removed ``numba``
-and ``cjit`` names warning once and resolving like ``auto`` (from a
-scenario file, a CA ``state_dict`` and a pickle too), case-insensitive
-registry resolution, singleton caching, and pickling backends by name
-across a journal boundary.
+reference) and per-model (full NaSch / multilane trajectories under a
+shared seed, and the channel's link rows over a backend's ring
+trajectory against per-link reference loops).  Around the identity
+core sit the plumbing tests: the removed ``numba`` and ``cjit`` names
+warning once and resolving like ``auto`` (from a scenario file, a CA
+``state_dict`` and a pickle too), case-insensitive registry
+resolution, singleton caching, and pickling backends by name across a
+journal boundary.
 """
 
-import dataclasses
 import pickle
 import warnings
 
@@ -21,19 +21,17 @@ import numpy as np
 import pytest
 
 import repro.kernels as kernels_pkg
+from helpers import (
+    REF_CELL,
+    assert_rows_match_reference,
+    assert_table_matches_reference,
+    reference_channel,
+)
 from repro.ca.multilane import MultiLaneRoad
 from repro.ca.nasch import Boundary, NagelSchreckenberg
 from repro.kernels import KernelBackend, resolve_backend
-from repro.des.engine import Simulator
 from repro.kernels.vector import VectorBackend
-from repro.mac.frames import Frame, FrameType
-from repro.net.address import BROADCAST
-from repro.net.packet import Packet
-from repro.phy.channel import Channel
-from repro.phy.params import PhyParams
-from repro.phy.propagation import TwoRayGround
-from repro.phy.radio import Radio
-from repro.phy.spatial import UniformGridIndex
+from repro.util.units import CELL_LENGTH_M
 
 
 #: The built-in backends, plus the removed ``cjit`` name: it resolves
@@ -111,98 +109,48 @@ def test_cyclic_gaps_matches_reference(backend, n):
     )
 
 
-GRID_CELL = 250.0
+# -- link rows over a backend's trajectory -----------------------------------
+
+#: Ring length in CA cells; laid out as a circle this spans ten grid
+#: cells across, so rows really are culled.
+RING_CELLS = 1000
 
 
-def _reference_distances(positions, sel_ids, sender):
-    """One scalar ``np.hypot`` per link: the per-link reference."""
-    out = np.empty(len(sel_ids))
-    for i, node in enumerate(sel_ids.tolist()):
-        delta = positions[node] - positions[sender]
-        out[i] = np.hypot(delta[0], delta[1])
-    return out
-
-
-def _grid_channel(backend, seed):
-    """A grid channel over random positions (negative coordinates, some
-    on cell edges) with a shuffled subset of nodes registered and two
-    transmit powers, so every row finishes through the backend's
-    ``row_filter``; every registered radio has sent one frame."""
+def _ring_inputs(backend, seed):
+    """A NaSch ring run under ``backend``, laid out as a circle about
+    the origin (negative coordinates, every sixth vehicle snapped onto
+    a cell edge), and a shuffled strict subset of its vehicles in
+    registration order."""
     rng = np.random.default_rng(seed)
-    num_positions = 50
-    positions = rng.uniform(-800.0, 800.0, size=(num_positions, 2))
-    positions[::6] = np.round(positions[::6] / GRID_CELL) * GRID_CELL
-    ids = rng.permutation(num_positions)[: rng.integers(1, num_positions)]
-    sim = Simulator()
-    channel = Channel(
-        sim, TwoRayGround(), lambda: positions,
-        spatial=UniformGridIndex(GRID_CELL), kernels=backend,
+    start = np.sort(rng.choice(RING_CELLS, size=50, replace=False))
+    model = NagelSchreckenberg(
+        RING_CELLS, positions=start, p=0.3, rng=rng, kernels=backend
     )
-    params = PhyParams.for_ranges(TwoRayGround(), 100.0, GRID_CELL)
-    quiet = dataclasses.replace(params, tx_power_w=params.tx_power_w / 2)
-    for k, node in enumerate(ids.tolist()):
-        Radio(sim, node, quiet if k % 2 else params, channel)
-    for node in ids.tolist():
-        packet = Packet("DATA", node, BROADCAST, 100, 0.0)
-        channel.transmit(
-            node, Frame(FrameType.DATA, node, BROADCAST, 128, packet=packet),
-            0.001,
-        )
-    return positions, ids, channel
+    for _ in range(20):
+        model.step()
+    angle = 2.0 * np.pi * model.positions / RING_CELLS
+    radius = RING_CELLS * CELL_LENGTH_M / (2.0 * np.pi)
+    positions = radius * np.column_stack((np.cos(angle), np.sin(angle)))
+    positions[::6] = np.round(positions[::6] / REF_CELL) * REF_CELL
+    ids = rng.permutation(len(positions))[: rng.integers(1, len(positions))]
+    return positions, ids
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_row_select_matches_reference(backend, seed):
-    """Grid rows select the registered radios in the sender's 3 x 3
-    cell neighbourhood, in registration order (one neighbour table per
-    slot), and deliver what the reference loops deliver."""
-    positions, ids, channel = _grid_channel(backend, seed)
-    cells = np.floor(positions / GRID_CELL)
-    for reg, sender in enumerate(ids.tolist()):
-        near = [
-            node for node in ids.tolist()
-            if np.all(np.abs(cells[node] - cells[sender]) <= 1)
-        ]
-        start, end = channel._tbl_offsets[reg:reg + 2]
-        assert ids[channel._tbl_cols[start:end]].tolist() == near
-        sel_ids = np.array(near, dtype=np.int64)
-        dist = _reference_distances(positions, sel_ids, sender)
-        radio = channel._radios[sender]
-        powers = TwoRayGround().rx_power_vector(radio.tx_power_w, dist)
-        thresholds = np.array(
-            [channel._radios[n].cs_threshold_w for n in near]
-        )
-        idx = REFERENCE.row_filter(powers, thresholds, sel_ids, sender)
-        receivers, row_powers, _ = channel._rows[sender]
-        assert [
-            receive.__self__.node_id for receive in receivers
-        ] == sel_ids[idx].tolist()
-        assert row_powers == powers[idx].tolist()
+    """Grid rows with two transmit powers over the backend's trajectory
+    select and deliver what the per-link reference loops do."""
+    positions, ids = _ring_inputs(backend, seed)
+    channel = reference_channel(positions, ids, "grid", "mixed")
+    assert_rows_match_reference(positions, ids, channel, "grid")
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_row_distances_and_filter_match_reference(backend, seed):
-    positions, ids, channel = _grid_channel(backend, 100 + seed)
-    # Bit-equal, not approximately equal: the table's vectorized hypot
-    # and the per-link scalar hypot are the same numpy ufunc.
-    for reg, sender in enumerate(ids.tolist()):
-        start, end = channel._tbl_offsets[reg:reg + 2]
-        sel_ids = ids[channel._tbl_cols[start:end]]
-        np.testing.assert_array_equal(
-            channel._tbl_dist[start:end],
-            _reference_distances(positions, sel_ids, sender),
-        )
-
-    rng = np.random.default_rng(100 + seed)
-    num_nodes = 30
-    sel_ids = np.arange(num_nodes, dtype=np.int64)
-    sender = int(rng.integers(num_nodes))
-    powers = rng.uniform(0.0, 2e-9, size=num_nodes)
-    powers[rng.integers(num_nodes)] = np.nan  # NaN drops on every backend
-    thresholds = np.full(num_nodes, 1e-9)
-    np.testing.assert_array_equal(
-        backend.row_filter(powers, thresholds, sel_ids, sender),
-        REFERENCE.row_filter(powers, thresholds, sel_ids, sender),
+    positions, ids = _ring_inputs(backend, 100 + seed)
+    channel = reference_channel(positions, ids, "grid", "mixed")
+    assert_table_matches_reference(
+        positions, ids, channel, "mixed", np.random.default_rng(100 + seed)
     )
 
 

@@ -1,19 +1,28 @@
-"""Grid neighbour-table tests: the per-slot table against its definitions.
+"""Link-table tests: the per-slot table against its definitions.
 
-On the grid path the channel builds one neighbour table per position
-slot and every sender's row is a slice of it.  These tests hold the
-table to three references: the brute-force definition of a row (every
-registered radio in the sender's 3 x 3 cell neighbourhood, in
-registration order), the dense path, and the scalar ``fast_path=False``
-loop.  The channel counters must keep their per-row meaning, a
-degradation burst must never rebuild the pairs, and stochastic
-propagation on the grid must draw exactly what it drew before the
-table existed.
+The channel builds one link table per position slot and every sender's
+row is a slice of it.  These tests hold the table to three references:
+the brute-force definition of a row (every registered radio on dense,
+those in the sender's 3 x 3 cell neighbourhood on the grid, in
+registration order) with per-link reference loops for its distances,
+powers and carrier-sense filter, the dense path, and the scalar
+``fast_path=False`` loop.  The channel counters must keep their per-row
+meaning, a degradation burst must never rebuild the pairs, and
+stochastic propagation on the grid must draw exactly what it drew
+before the table existed.  The per-link reference checks live in
+``helpers`` so the kernel suite runs them over each backend's
+trajectory too.
 """
 
 import numpy as np
 import pytest
 
+from helpers import (
+    REF_CELL,
+    assert_rows_match_reference,
+    assert_table_matches_reference,
+    reference_channel,
+)
 from repro.core import registry
 from repro.core.config import Scenario
 from repro.core.simulation import CavenetSimulation
@@ -225,26 +234,69 @@ def test_grid_event_stream_identical_to_dense_and_scalar(
     assert grid.links_evaluated < dense.links_evaluated
 
 
-def test_attenuation_burst_never_rebuilds_the_pairs():
+@pytest.mark.parametrize("mode", ["grid", "dense"])
+def test_attenuation_burst_never_rebuilds_the_pairs(mode, monkeypatch):
     """A mid-slot set_attenuation redoes only the eager table's filter:
-    pairs are built once per slot, and the burst still matches dense."""
+    the table is built once per slot (its pairs once per registration
+    change on dense), and the burst still matches the scalar loop."""
     model = MODELS["two_ray"]
-    index = UniformGridIndex(CELL)
-    built = []
-    original = index.neighbor_table
+    pairs = []
+    original = Channel._build_table
 
-    def counting(nodes):
-        built.append(len(nodes))
-        return original(nodes)
+    def counting(self, positions):
+        original(self, positions)
+        pairs.append(self._tbl_cols)
 
-    index.neighbor_table = counting
-    grid, logs_g, _ = _run("grid", model, burst=True, spatial=index)
-    _, logs_quiet, _ = _run("grid", model)
-    _, logs_d, _ = _run("dense", model, burst=True)
-    assert logs_g == logs_d
-    assert logs_g != logs_quiet  # the burst really changed deliveries
-    assert len(built) == grid.cache_rebuilds == NUM_SLOTS
-    assert grid._tbl_powers is not None  # the eager table was in play
+    monkeypatch.setattr(Channel, "_build_table", counting)
+    channel, logs, _ = _run(mode, model, burst=True)
+    monkeypatch.undo()
+    _, logs_quiet, _ = _run(mode, model)
+    _, logs_s, _ = _run("scalar", model, burst=True)
+    assert logs == logs_s
+    assert logs != logs_quiet  # the burst really changed deliveries
+    assert len(pairs) == channel.cache_rebuilds == NUM_SLOTS
+    distinct = len({id(cols) for cols in pairs})
+    assert distinct == (NUM_SLOTS if mode == "grid" else 1)
+    assert channel._tbl_powers is not None  # the eager table was in play
+
+
+# -- rows against per-link reference loops ------------------------------------
+
+
+def _random_inputs(seed):
+    """Random positions (negative coordinates, some on cell edges) and a
+    shuffled strict subset of their nodes, in registration order."""
+    rng = np.random.default_rng(seed)
+    num_positions = 50
+    positions = rng.uniform(-800.0, 800.0, size=(num_positions, 2))
+    positions[::6] = np.round(positions[::6] / REF_CELL) * REF_CELL
+    ids = rng.permutation(num_positions)[: rng.integers(1, num_positions)]
+    return positions, ids
+
+
+REFERENCE_CASES = pytest.mark.parametrize(
+    "spatial, tx_power",
+    [(s, t) for s in ("grid", "dense") for t in ("uniform", "mixed")],
+    ids=lambda value: value,
+)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@REFERENCE_CASES
+def test_row_select_matches_reference(spatial, tx_power, seed):
+    positions, ids = _random_inputs(seed)
+    channel = reference_channel(positions, ids, spatial, tx_power)
+    assert_rows_match_reference(positions, ids, channel, spatial)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@REFERENCE_CASES
+def test_row_distances_and_filter_match_reference(spatial, tx_power, seed):
+    positions, ids = _random_inputs(100 + seed)
+    channel = reference_channel(positions, ids, spatial, tx_power)
+    assert_table_matches_reference(
+        positions, ids, channel, tx_power, np.random.default_rng(100 + seed)
+    )
 
 
 # -- stochastic propagation on the grid: the same draws as before ------------

@@ -157,19 +157,21 @@ class _Log:
         pass
 
 
-def _run_channel(spatial, positions_list, attenuate_at=None,
-                 kernels="auto"):
-    """Drive scripted broadcasts over static boundary-heavy positions."""
+def _run_channel(spatial, positions_list, attenuate_at=None, mixed=False):
+    """Drive scripted broadcasts over static boundary-heavy positions;
+    ``mixed`` halves every odd node's transmit power, so rows finish per
+    sender instead of from the eager table."""
     positions = np.array(positions_list, dtype=float)
     sim = Simulator()
-    channel = Channel(
-        sim, TwoRayGround(), lambda: positions, spatial=spatial,
-        kernels=kernels,
-    )
+    channel = Channel(sim, TwoRayGround(), lambda: positions, spatial=spatial)
     params = PhyParams.for_ranges(TwoRayGround(), 250.0, 550.0)
     logs = []
+    quiet = dataclasses.replace(params, tx_power_w=params.tx_power_w / 2)
     for node_id in range(len(positions)):
-        radio = Radio(sim, node_id, params, channel)
+        radio = Radio(
+            sim, node_id, quiet if mixed and node_id % 2 else params,
+            channel,
+        )
         log = _Log(sim)
         radio.attach_mac(log)
         logs.append(log)
@@ -199,33 +201,21 @@ _BOUNDARY_POSITIONS = [
 ]
 
 
-@pytest.mark.parametrize("kernels", ["python", "auto"])
-def test_grid_event_stream_identical_to_dense_on_boundaries(kernels):
-    """Grid-vs-dense identity must hold under the reference loops and
-    under the best backend on this machine — one event stream, four
-    (spatial, kernel) combinations."""
-    channel_d, logs_d = _run_channel(None, _BOUNDARY_POSITIONS,
-                                     kernels=kernels)
+@pytest.mark.parametrize("tx_power", ["uniform", "mixed"])
+def test_grid_event_stream_identical_to_dense_on_boundaries(tx_power):
+    """Grid-vs-dense identity must hold with nodes on cell boundaries
+    and one pair exactly at the CS range, from the eager table (one
+    transmit power) and from rows finished per sender (two)."""
+    mixed = tx_power == "mixed"
+    channel_d, logs_d = _run_channel(None, _BOUNDARY_POSITIONS, mixed=mixed)
     channel_g, logs_g = _run_channel(
-        UniformGridIndex(550.0), _BOUNDARY_POSITIONS, kernels=kernels
+        UniformGridIndex(550.0), _BOUNDARY_POSITIONS, mixed=mixed
     )
     assert logs_d == logs_g
     assert channel_d.frames_delivered == channel_g.frames_delivered
     assert channel_d.frames_cs_dropped == channel_g.frames_cs_dropped
     # Culling must actually have culled something to be a meaningful test.
     assert channel_g.links_evaluated < channel_d.links_evaluated
-
-
-def test_event_stream_identical_across_backends():
-    """The same (spatial, positions) run must emit byte-equal event
-    streams whichever kernel backend builds the rows."""
-    _, logs_py = _run_channel(UniformGridIndex(550.0), _BOUNDARY_POSITIONS,
-                              kernels="python")
-    _, logs_auto = _run_channel(UniformGridIndex(550.0), _BOUNDARY_POSITIONS,
-                                kernels="auto")
-    _, logs_vec = _run_channel(UniformGridIndex(550.0), _BOUNDARY_POSITIONS,
-                               kernels="vector")
-    assert logs_py == logs_auto == logs_vec
 
 
 def test_grid_identical_to_dense_through_attenuation_burst():
