@@ -841,9 +841,7 @@ def _cmd_components(args: argparse.Namespace) -> int:
 
 
 def _cmd_journal(args: argparse.Namespace) -> int:
-    from repro.core.journal import (
-        compact_journal, inspect_journal, read_lease_state, read_quarantine,
-    )
+    from repro.core.journal import compact_journal, inspect_journal
 
     if args.journal_command == "inspect":
         stats = inspect_journal(args.path)
@@ -863,10 +861,9 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         print(f"  superseded      : {stats.superseded}")
         torn = "yes (tolerated on resume)" if stats.torn_tail else "no"
         print(f"torn tail         : {torn}")
-        leases = read_lease_state(args.path)
-        if leases:
+        if stats.open_leases:
             print("open leases:")
-            for key_id, lease in sorted(leases.items()):
+            for key_id, lease in sorted(stats.open_leases.items()):
                 parts = [f"owner {lease.owner}", f"attempt {lease.attempt}"]
                 if lease.host is not None:
                     parts.append(f"host {lease.host}")
@@ -876,11 +873,10 @@ def _cmd_journal(args: argparse.Namespace) -> int:
                     parts.append(f"fencing token {lease.token}")
                 state = "expired" if lease.expired() else "live"
                 print(f"  {key_id}: {', '.join(parts)} ({state})")
-        quarantined = read_quarantine(args.path)
-        if quarantined:
+        if stats.parked:
             print("quarantined trials (remove the quarantine record or "
                   "start a fresh journal to re-run them):")
-            for key_id, record in sorted(quarantined.items()):
+            for key_id, record in sorted(stats.parked.items()):
                 owners = ", ".join(record.owners)
                 print(f"  {key_id}: killed {len(record.owners)} distinct "
                       f"worker(s) [{owners}] after {record.attempts} "

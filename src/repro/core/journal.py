@@ -661,6 +661,10 @@ class JournalStats:
         quarantined: trials currently parked as poison (latest state).
         superseded: records a :func:`compact_journal` pass would drop.
         torn_tail: whether the file ends in a torn (crash-residue) line.
+        open_leases: the live leases by key, as :func:`read_lease_state`
+            returns them.
+        parked: the quarantined trials by key, as :func:`read_quarantine`
+            returns them.
     """
 
     path: str
@@ -679,6 +683,12 @@ class JournalStats:
     superseded: int
     torn_tail: bool
     quarantined: int = 0
+    open_leases: Dict[str, LeaseRecord] = dataclasses.field(
+        default_factory=dict
+    )
+    parked: Dict[str, QuarantineRecord] = dataclasses.field(
+        default_factory=dict
+    )
 
 
 def _partition_records(records):
@@ -735,15 +745,14 @@ def _partition_records(records):
     counts["distinct_completed"] = sum(
         1 for succeeded in key_succeeded.values() if succeeded
     )
-    counts["quarantined"] = len(quarantine_latest)
     return kept, len(records) - len(kept), counts
 
 
 def inspect_journal(path: str) -> JournalStats:
-    """Summarise a journal file without loading any trial values."""
+    """Summarise a journal file, read once, without loading trial values."""
     header, records, torn = scan_records(path)
     kept, superseded, counts = _partition_records(records)
-    live = _settle(records)[2]
+    _completed, parked, live = _settle(records)
     expired = sum(1 for lease in live.values() if lease.expired())
     return JournalStats(
         path=str(path),
@@ -761,7 +770,9 @@ def inspect_journal(path: str) -> JournalStats:
         events=counts["events"],
         superseded=superseded,
         torn_tail=torn,
-        quarantined=counts["quarantined"],
+        quarantined=len(parked),
+        open_leases=live,
+        parked=parked,
     )
 
 

@@ -10,6 +10,11 @@ against a common interface so the evaluation harness can swap them by name:
   (draft-ietf-manet-dymo style).
 * :class:`Dsdv` and :class:`Flooding` — extension baselines.
 
+AODV and DYMO share one reactive core,
+:class:`~repro.routing.reactive.ReactiveProtocol`: the discovery buffer,
+RREQ retries, HELLO neighbour upkeep, link breaks and RERR handling are
+written once there.
+
 Name-to-class dispatch goes through the ``"routing"`` namespace of
 :mod:`repro.core.registry`; a third-party protocol registers with
 ``@register("routing", "GPSR")`` and is immediately selectable by

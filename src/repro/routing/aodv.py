@@ -6,22 +6,26 @@ the destination — or an intermediate node with a fresh-enough route —
 returns a Route Reply (RREP) along it.  Periodic HELLOs detect link
 breakage, which triggers Route Error (RERR) propagation.  Data packets
 awaiting discovery wait in a per-destination buffer.
+
+The buffer, discovery retries, neighbour upkeep and RERR handling are
+the reactive core AODV shares with DYMO
+(:class:`~repro.routing.reactive.ReactiveProtocol`).  This module adds
+AODV's own parts: the RREQ/RREP/HELLO formats and handlers, replies from
+intermediate nodes with a fresh-enough route, precursor lists, and the
+refresh of active routes (and their next hops) on use.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-from typing import Deque, Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.des.event import Event
-from repro.des.timer import PeriodicTimer
 from repro.net.address import BROADCAST
 from repro.net.packet import Packet
-from repro.routing.base import RoutingProtocol
-from repro.routing.table import RouteTable
+from repro.routing.reactive import ReactiveProtocol
+from repro.util import slots
+
+# Pickles made before the reactive core name these classes here.
+from repro.routing.reactive import RerrHeader, _Discovery  # noqa: F401
 
 RREQ = "AODV_RREQ"
 RREP = "AODV_RREP"
@@ -136,93 +140,19 @@ class RrepHeader:
     lifetime_s: float
 
 
-@dataclasses.dataclass(frozen=True)
-class RerrHeader:
-    """Route Error contents: destinations now unreachable via the sender."""
-
-    unreachable: Tuple[Tuple[int, int], ...]  # (dst, dst_seq) pairs
-
-
-class _Discovery:
-    """Pending route discovery for one destination."""
-
-    __slots__ = ("retries", "timer")
-
-    def __init__(self, timer: Event) -> None:
-        self.retries = 0
-        self.timer = timer
-
-
-class Aodv(RoutingProtocol):
+class Aodv(ReactiveProtocol):
     """One node's AODV agent."""
 
-    __slots__ = (
-        "config", "table", "_seq", "_rreq_id", "_seen_rreqs", "_buffer",
-        "_pending", "_neighbors", "_hello_timer", "_maintenance_timer",
-    )
+    __slots__ = ()
 
     name = "AODV"
+    RREQ, RREP, RERR, HELLO = RREQ, RREP, RERR, HELLO  # the module's kinds
+    default_config = _DEFAULT_CONFIG
 
-    def __init__(
-        self,
-        node: "Node",
-        rng: Optional[np.random.Generator] = None,
-        config: Optional[AodvConfig] = None,
-    ) -> None:
-        super().__init__(node, rng)
-        self.config = config if config is not None else _DEFAULT_CONFIG
-        self.table = RouteTable()
-        self._seq = 0
-        self._rreq_id = 0
-        self._seen_rreqs: Dict[Tuple[int, int], float] = {}
-        self._buffer: Dict[int, Deque[Tuple[Packet, float]]] = (
-            collections.defaultdict(collections.deque)
-        )
-        self._pending: Dict[int, _Discovery] = {}
-        self._neighbors: Dict[int, float] = {}  # nbr -> last heard
-        self._hello_timer: Optional[PeriodicTimer] = None
-        self._maintenance_timer: Optional[PeriodicTimer] = None
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        """Arm the HELLO beacon and the maintenance sweep."""
-        cfg = self.config
-        self._hello_timer = PeriodicTimer(
-            self.sim,
-            cfg.hello_interval_s,
-            self._send_hello,
-            jitter=cfg.hello_interval_s * 0.1,
-            rng=self.rng,
-        )
-        self._hello_timer.start()
-        self._maintenance_timer = PeriodicTimer(
-            self.sim, cfg.hello_interval_s, self._maintenance, rng=self.rng
-        )
-        self._maintenance_timer.start()
-
-    def reset_state(self) -> None:
-        """Crash-wipe: forget routes, neighbours and pending discoveries.
-
-        ``_seq``/``_rreq_id`` survive (RFC 3561 wants sequence numbers
-        monotone across reboots so stale routes lose to fresh ones).
-        """
-        for discovery in self._pending.values():
-            discovery.timer.cancel()
-        self._pending.clear()
-        for queue in self._buffer.values():
-            for packet, _deadline in queue:
-                self.node.drop(packet, "node_down")
-        self._buffer.clear()
-        self.table = RouteTable()
-        self._seen_rreqs.clear()
-        self._neighbors.clear()
-
-    # -- introspection ---------------------------------------------------------
-
-    def next_hop_for(self, dst: int):
-        entry = self.table.lookup(dst, self.sim.now)
-        return entry.next_hop if entry is not None else None
+    # Agents pickled before the reactive core stored the message id and
+    # the duplicate cache under these names.
+    _rreq_id = slots.renamed("_msg_id")
+    _seen_rreqs = slots.renamed("_seen")
 
     # -- data path -------------------------------------------------------------
 
@@ -252,96 +182,18 @@ class Aodv(RoutingProtocol):
         entry.add_precursor(prev_hop)
         self.node.send_via(packet.copy_for_forwarding(), entry.next_hop)
 
-    # -- control path -------------------------------------------------------------
-
-    def recv_control(self, packet: Packet, prev_hop: int) -> None:
-        if packet.kind == RREQ:
-            self._recv_rreq(packet, prev_hop)
-        elif packet.kind == RREP:
-            self._recv_rrep(packet, prev_hop)
-        elif packet.kind == RERR:
-            self._recv_rerr(packet, prev_hop)
-        elif packet.kind == HELLO:
-            self._recv_hello(packet, prev_hop)
-
-    def on_link_failure(self, packet: Packet, next_hop: int) -> None:
-        self._handle_link_break(next_hop)
-        if packet.is_data:
-            # Salvage the packet through a fresh discovery.
-            self._enqueue_for_discovery(packet)
-
     # -- discovery ----------------------------------------------------------------
 
-    def _enqueue_for_discovery(self, packet: Packet) -> None:
-        cfg = self.config
-        queue = self._buffer[packet.dst]
-        if len(queue) >= cfg.buffer_capacity:
-            dropped, _ = queue.popleft()
-            self.node.drop(dropped, "buffer_overflow")
-        queue.append((packet, self.sim.now + cfg.path_discovery_time_s))
-        if packet.dst not in self._pending:
-            self._send_rreq(packet.dst)
-
-    def _send_rreq(self, dst: int) -> None:
-        cfg = self.config
-        discovery = self._pending.get(dst)
-        attempt = discovery.retries if discovery else 0
-        self._rreq_id += 1
-        self._seq += 1
+    def _rreq_header(self, dst: int):
         header = RreqHeader(
-            rreq_id=self._rreq_id,
+            rreq_id=self._msg_id,
             orig=self.address,
             orig_seq=self._seq,
             dst=dst,
             dst_seq=self._dest_seq(dst),
             hops=0,
         )
-        # Mark our own RREQ as seen so neighbours echoing it back are inert.
-        self._seen_rreqs[(self.address, self._rreq_id)] = (
-            self.sim.now + cfg.path_discovery_time_s
-        )
-        self.send_control(
-            RREQ,
-            header,
-            RREQ_SIZE,
-            BROADCAST,
-            ttl=cfg.rreq_ttl(attempt),
-            jitter_s=cfg.broadcast_jitter_s,
-        )
-        timer = self.sim.schedule(
-            cfg.rreq_timeout_s(attempt), self._discovery_timeout, dst
-        )
-        if discovery is None:
-            self._pending[dst] = _Discovery(timer)
-        else:
-            discovery.timer = timer
-
-    def _discovery_timeout(self, dst: int) -> None:
-        discovery = self._pending.get(dst)
-        if discovery is None:
-            return
-        if discovery.retries + 1 < self.config.max_discovery_attempts:
-            discovery.retries += 1
-            self._send_rreq(dst)
-            return
-        del self._pending[dst]
-        for packet, _deadline in self._buffer.pop(dst, ()):
-            self.node.drop(packet, "no_route")
-
-    def _flush_buffer(self, dst: int) -> None:
-        discovery = self._pending.pop(dst, None)
-        if discovery is not None:
-            discovery.timer.cancel()
-        now = self.sim.now
-        for packet, deadline in self._buffer.pop(dst, ()):
-            if deadline <= now:
-                self.node.drop(packet, "buffer_timeout")
-                continue
-            entry = self.table.lookup(dst, now)
-            if entry is None:
-                self.node.drop(packet, "no_route")
-                continue
-            self.node.send_via(packet, entry.next_hop)
+        return header, RREQ_SIZE
 
     # -- message handlers -------------------------------------------------------------
 
@@ -349,9 +201,9 @@ class Aodv(RoutingProtocol):
         cfg = self.config
         header: RreqHeader = packet.header
         key = (header.orig, header.rreq_id)
-        if key in self._seen_rreqs:
+        if key in self._seen:
             return
-        self._seen_rreqs[key] = self.sim.now + cfg.path_discovery_time_s
+        self._seen[key] = self.sim.now + cfg.path_discovery_time_s
         now = self.sim.now
         self._note_neighbor(prev_hop)
         if header.orig == self.address:
@@ -436,22 +288,6 @@ class Aodv(RoutingProtocol):
         forwarded = dataclasses.replace(header, hops=header.hops + 1)
         self.send_control(RREP, forwarded, RREP_SIZE, reverse.next_hop)
 
-    def _recv_rerr(self, packet: Packet, prev_hop: int) -> None:
-        header: RerrHeader = packet.header
-        invalidated = []
-        for dst, seq in header.unreachable:
-            entry = self.table.get(dst)
-            if (
-                entry is not None
-                and entry.valid
-                and entry.next_hop == prev_hop
-            ):
-                entry.valid = False
-                entry.seq = max(entry.seq, seq)
-                invalidated.append((dst, entry.seq))
-        if invalidated:
-            self._originate_rerr(invalidated)
-
     def _recv_hello(self, packet: Packet, prev_hop: int) -> None:
         header: RrepHeader = packet.header
         self._note_neighbor(prev_hop)
@@ -477,50 +313,9 @@ class Aodv(RoutingProtocol):
         )
         self.send_control(HELLO, header, HELLO_SIZE, BROADCAST)
 
-    def _maintenance(self) -> None:
-        now = self.sim.now
-        expired = [
-            nbr
-            for nbr, last in self._neighbors.items()
-            if now - last > self.config.neighbor_lifetime_s
-        ]
-        for nbr in expired:
-            del self._neighbors[nbr]
-            self._handle_link_break(nbr)
-        self._seen_rreqs = {
-            key: until
-            for key, until in self._seen_rreqs.items()
-            if until > now
-        }
-
-    def _note_neighbor(self, nbr: int) -> None:
-        self._neighbors[nbr] = self.sim.now
-
-    def _handle_link_break(self, next_hop: int) -> None:
-        self._neighbors.pop(next_hop, None)
-        broken = self.table.invalidate_via(next_hop)
-        self.node.mac.flush_next_hop(next_hop)
-        if broken:
-            self._originate_rerr([(e.dst, e.seq) for e in broken])
-
-    def _originate_rerr(self, unreachable) -> None:
-        header = RerrHeader(unreachable=tuple(unreachable))
-        size = 4 + 8 * len(header.unreachable)
-        self.send_control(
-            RERR,
-            header,
-            size,
-            BROADCAST,
-            jitter_s=self.config.broadcast_jitter_s,
-        )
-
     def _refresh_active(self, dst: int, next_hop: int) -> None:
         """Using a route keeps it (and the next-hop route) alive."""
         now = self.sim.now
         lifetime = self.config.active_route_timeout_s
         self.table.refresh(dst, lifetime, now)
         self.table.refresh(next_hop, lifetime, now)
-
-    def _dest_seq(self, dst: int) -> int:
-        entry = self.table.get(dst)
-        return entry.seq if entry is not None else 0

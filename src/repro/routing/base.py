@@ -30,7 +30,7 @@ class RoutingProtocol(abc.ABC):
     """Base class wiring a protocol instance to its node.
 
     The base declares ``__slots__``; a subclass that declares none (every
-    protocol but AODV, and third-party ones) keeps an instance
+    protocol but AODV and DYMO, and third-party ones) keeps an instance
     ``__dict__`` for its own state.
     """
 

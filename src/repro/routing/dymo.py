@@ -8,22 +8,25 @@ node will also receive information about all intermediate nodes of a newly
 discovered path".  Unlike AODV, only the target answers a RREQ, and link
 breakage floods RERRs to *all* nodes in range, each re-flooding when the
 report invalidates one of its own routes.
+
+The buffer, discovery retries, neighbour upkeep and RERR handling are
+the reactive core DYMO shares with AODV
+(:class:`~repro.routing.reactive.ReactiveProtocol`).  This module adds
+DYMO's own parts: the :class:`RoutingMessage` format, path accumulation
+and the RREQ/RREP/HELLO handlers.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-from typing import Deque, Dict, Optional, Tuple
+from typing import Tuple
 
-import numpy as np
-
-from repro.des.event import Event
-from repro.des.timer import PeriodicTimer
 from repro.net.address import BROADCAST
 from repro.net.packet import Packet
-from repro.routing.base import RoutingProtocol
-from repro.routing.table import RouteTable
+from repro.routing.reactive import ReactiveProtocol
+
+# Pickles made before the reactive core name these classes here.
+from repro.routing.reactive import RerrHeader, _Discovery  # noqa: F401
 
 RREQ = "DYMO_RREQ"
 RREP = "DYMO_RREP"
@@ -54,6 +57,24 @@ class DymoConfig:
         """Link considered broken after this long without a HELLO."""
         return self.allowed_hello_loss * self.hello_interval_s
 
+    @property
+    def path_discovery_time_s(self) -> float:
+        """How long discovery state (and buffered data) stays alive."""
+        return 2 * self.net_traversal_time_s
+
+    def rreq_ttl(self, attempt: int) -> int:
+        """TTL of every RREQ: DYMO floods the whole hop limit each time."""
+        return self.msg_hop_limit
+
+    def rreq_timeout_s(self, attempt: int) -> float:
+        """How long to wait for an RREP; doubles with each retry."""
+        return self.net_traversal_time_s * 2**attempt
+
+    @property
+    def max_discovery_attempts(self) -> int:
+        """The first RREQ plus its retries."""
+        return self.rreq_retries + 1
+
 
 #: The configuration every agent built without one shares (frozen).
 _DEFAULT_CONFIG = DymoConfig()
@@ -76,92 +97,18 @@ class RoutingMessage:
     path: Tuple[Tuple[int, int], ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class RerrHeader:
-    """Unreachable destinations announced after a link break."""
-
-    unreachable: Tuple[Tuple[int, int], ...]
-
-
-class _Discovery:
-    """Pending route discovery for one target."""
-
-    __slots__ = ("retries", "timer")
-
-    def __init__(self, timer: Event) -> None:
-        self.retries = 0
-        self.timer = timer
-
-
 def _rm_size(header: RoutingMessage) -> int:
     return _BASE_RM_SIZE + _PATH_ENTRY_SIZE * len(header.path)
 
 
-class Dymo(RoutingProtocol):
+class Dymo(ReactiveProtocol):
     """One node's DYMO agent."""
 
+    __slots__ = ()
+
     name = "DYMO"
-
-    def __init__(
-        self,
-        node: "Node",
-        rng: Optional[np.random.Generator] = None,
-        config: Optional[DymoConfig] = None,
-    ) -> None:
-        super().__init__(node, rng)
-        self.config = config if config is not None else _DEFAULT_CONFIG
-        self.table = RouteTable()
-        self._seq = 0
-        self._msg_id = 0
-        self._seen: Dict[Tuple[int, int], float] = {}
-        self._buffer: Dict[int, Deque[Tuple[Packet, float]]] = (
-            collections.defaultdict(collections.deque)
-        )
-        self._pending: Dict[int, _Discovery] = {}
-        self._neighbors: Dict[int, float] = {}
-        self._hello_timer: Optional[PeriodicTimer] = None
-        self._maintenance_timer: Optional[PeriodicTimer] = None
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        """Arm the HELLO beacon and maintenance sweep."""
-        cfg = self.config
-        self._hello_timer = PeriodicTimer(
-            self.sim,
-            cfg.hello_interval_s,
-            self._send_hello,
-            jitter=cfg.hello_interval_s * 0.1,
-            rng=self.rng,
-        )
-        self._hello_timer.start()
-        self._maintenance_timer = PeriodicTimer(
-            self.sim, cfg.hello_interval_s, self._maintenance, rng=self.rng
-        )
-        self._maintenance_timer.start()
-
-    # -- introspection ----------------------------------------------------------
-
-    def next_hop_for(self, dst: int):
-        entry = self.table.lookup(dst, self.sim.now)
-        return entry.next_hop if entry is not None else None
-
-    def reset_state(self) -> None:
-        """Crash-wipe: forget routes, neighbours and pending discoveries.
-
-        ``_seq``/``_msg_id`` survive so post-recovery routing messages
-        are never mistaken for stale ones.
-        """
-        for discovery in self._pending.values():
-            discovery.timer.cancel()
-        self._pending.clear()
-        for queue in self._buffer.values():
-            for packet, _deadline in queue:
-                self.node.drop(packet, "node_down")
-        self._buffer.clear()
-        self.table = RouteTable()
-        self._seen.clear()
-        self._neighbors.clear()
+    RREQ, RREP, RERR, HELLO = RREQ, RREP, RERR, HELLO  # the module's kinds
+    default_config = _DEFAULT_CONFIG
 
     # -- data path --------------------------------------------------------------
 
@@ -183,100 +130,24 @@ class Dymo(RoutingProtocol):
         entry = self.table.lookup(packet.dst, now)
         if entry is None:
             self.node.drop(packet, "no_route")
-            self._originate_rerr([(packet.dst, self._known_seq(packet.dst))])
+            self._originate_rerr([(packet.dst, self._dest_seq(packet.dst))])
             return
         self.table.refresh(packet.dst, self.config.route_timeout_s, now)
         self.table.refresh(packet.src, self.config.route_timeout_s, now)
         self.node.send_via(packet.copy_for_forwarding(), entry.next_hop)
 
-    # -- control path --------------------------------------------------------------
-
-    def recv_control(self, packet: Packet, prev_hop: int) -> None:
-        if packet.kind == RREQ:
-            self._recv_rreq(packet, prev_hop)
-        elif packet.kind == RREP:
-            self._recv_rrep(packet, prev_hop)
-        elif packet.kind == RERR:
-            self._recv_rerr(packet, prev_hop)
-        elif packet.kind == HELLO:
-            self._recv_hello(packet, prev_hop)
-
-    def on_link_failure(self, packet: Packet, next_hop: int) -> None:
-        self._handle_link_break(next_hop)
-        if packet.is_data:
-            self._enqueue_for_discovery(packet)
-
     # -- discovery ------------------------------------------------------------------
 
-    def _enqueue_for_discovery(self, packet: Packet) -> None:
-        cfg = self.config
-        queue = self._buffer[packet.dst]
-        if len(queue) >= cfg.buffer_capacity:
-            dropped, _ = queue.popleft()
-            self.node.drop(dropped, "buffer_overflow")
-        queue.append((packet, self.sim.now + 2 * cfg.net_traversal_time_s))
-        if packet.dst not in self._pending:
-            self._send_rreq(packet.dst)
-
-    def _send_rreq(self, target: int) -> None:
-        cfg = self.config
-        self._msg_id += 1
-        self._seq += 1
+    def _rreq_header(self, target: int):
         header = RoutingMessage(
             msg_id=self._msg_id,
             orig=self.address,
             orig_seq=self._seq,
             target=target,
-            target_seq=self._known_seq(target),
+            target_seq=self._dest_seq(target),
             path=((self.address, self._seq),),
         )
-        self._seen[(self.address, self._msg_id)] = (
-            self.sim.now + 2 * cfg.net_traversal_time_s
-        )
-        self.send_control(
-            RREQ,
-            header,
-            _rm_size(header),
-            BROADCAST,
-            ttl=cfg.msg_hop_limit,
-            jitter_s=cfg.broadcast_jitter_s,
-        )
-        discovery = self._pending.get(target)
-        timeout = cfg.net_traversal_time_s * (
-            2 ** (discovery.retries if discovery else 0)
-        )
-        timer = self.sim.schedule(timeout, self._discovery_timeout, target)
-        if discovery is None:
-            self._pending[target] = _Discovery(timer)
-        else:
-            discovery.timer = timer
-
-    def _discovery_timeout(self, target: int) -> None:
-        discovery = self._pending.get(target)
-        if discovery is None:
-            return
-        if discovery.retries < self.config.rreq_retries:
-            discovery.retries += 1
-            self._send_rreq(target)
-            return
-        del self._pending[target]
-        for packet, _deadline in self._buffer.pop(target, ()):
-            self.node.drop(packet, "no_route")
-
-    def _flush_buffer(self, target: int) -> None:
-        discovery = self._pending.pop(target, None)
-        if discovery is not None:
-            discovery.timer.cancel()
-        now = self.sim.now
-        for packet, deadline in self._buffer.pop(target, ()):
-            if deadline <= now:
-                self.node.drop(packet, "buffer_timeout")
-                continue
-            entry = self.table.lookup(target, now)
-            if entry is None:
-                self.node.drop(packet, "no_route")
-                continue
-            self.node.send_via(packet, entry.next_hop)
+        return header, _rm_size(header)
 
     # -- message handlers ---------------------------------------------------------------
 
@@ -304,7 +175,7 @@ class Dymo(RoutingProtocol):
         key = (header.orig, header.msg_id)
         if key in self._seen:
             return
-        self._seen[key] = self.sim.now + 2 * cfg.net_traversal_time_s
+        self._seen[key] = self.sim.now + cfg.path_discovery_time_s
         self._note_neighbor(prev_hop)
         if header.orig == self.address:
             return
@@ -347,7 +218,7 @@ class Dymo(RoutingProtocol):
         key = (header.orig, header.msg_id)
         if key in self._seen:
             return
-        self._seen[key] = self.sim.now + 2 * self.config.net_traversal_time_s
+        self._seen[key] = self.sim.now + self.config.path_discovery_time_s
         self._note_neighbor(prev_hop)
         self._install_path(header, prev_hop)
         if header.target == self.address:
@@ -358,24 +229,6 @@ class Dymo(RoutingProtocol):
             header, path=header.path + ((self.address, self._seq),)
         )
         self._send_rrep(forwarded)
-
-    def _recv_rerr(self, packet: Packet, prev_hop: int) -> None:
-        header: RerrHeader = packet.header
-        invalidated = []
-        for dst, seq in header.unreachable:
-            entry = self.table.get(dst)
-            if (
-                entry is not None
-                and entry.valid
-                and entry.next_hop == prev_hop
-            ):
-                entry.valid = False
-                entry.seq = max(entry.seq, seq)
-                invalidated.append((dst, entry.seq))
-        if invalidated:
-            # "Effectively flooding information about a link breakage
-            # through the MANET" (paper Section III-B.3).
-            self._originate_rerr(invalidated)
 
     def _recv_hello(self, packet: Packet, prev_hop: int) -> None:
         header: RoutingMessage = packet.header
@@ -403,42 +256,3 @@ class Dymo(RoutingProtocol):
             path=((self.address, self._seq),),
         )
         self.send_control(HELLO, header, HELLO_SIZE, BROADCAST)
-
-    def _maintenance(self) -> None:
-        now = self.sim.now
-        expired = [
-            nbr
-            for nbr, last in self._neighbors.items()
-            if now - last > self.config.neighbor_lifetime_s
-        ]
-        for nbr in expired:
-            del self._neighbors[nbr]
-            self._handle_link_break(nbr)
-        self._seen = {
-            key: until for key, until in self._seen.items() if until > now
-        }
-
-    def _note_neighbor(self, nbr: int) -> None:
-        self._neighbors[nbr] = self.sim.now
-
-    def _handle_link_break(self, next_hop: int) -> None:
-        self._neighbors.pop(next_hop, None)
-        broken = self.table.invalidate_via(next_hop)
-        self.node.mac.flush_next_hop(next_hop)
-        if broken:
-            self._originate_rerr([(e.dst, e.seq) for e in broken])
-
-    def _originate_rerr(self, unreachable) -> None:
-        header = RerrHeader(unreachable=tuple(unreachable))
-        size = 4 + 8 * len(header.unreachable)
-        self.send_control(
-            RERR,
-            header,
-            size,
-            BROADCAST,
-            jitter_s=self.config.broadcast_jitter_s,
-        )
-
-    def _known_seq(self, dst: int) -> int:
-        entry = self.table.get(dst)
-        return entry.seq if entry is not None else 0

@@ -6,7 +6,8 @@ classes declare ``__slots__``, so none of these objects carries an
 instance ``__dict__``.  Pickle stores a slotted object's state as
 ``(dict_or_None, {slot: value})``; objects pickled before the classes
 were slotted stored a plain ``__dict__``.  :func:`setstate`, assigned as
-each class's ``__setstate__``, restores both forms.
+each class's ``__setstate__``, restores both forms; :func:`renamed`
+keeps an old pickle's former attribute name settable.
 """
 
 from __future__ import annotations
@@ -24,3 +25,15 @@ def setstate(obj: Any, state: Any) -> None:
     for part in parts:
         for name, value in (part or {}).items():
             setattr(obj, name, value)
+
+
+def renamed(name: str) -> property:
+    """A former attribute name that reads and writes ``name`` instead.
+
+    Assigned as a class attribute, it lets :func:`setstate` restore a
+    pickle that stored the value under the former name.
+    """
+    return property(
+        lambda obj: getattr(obj, name),
+        lambda obj, value: setattr(obj, name, value),
+    )

@@ -1,10 +1,10 @@
 """One scan per journal read: resume and inspect parse the file once.
 
 ``TrialJournal(resume=True)`` derives its completed and quarantined
-trials, and ``inspect_journal`` its live leases, from a single
-``scan_records`` pass; trial values are unpickled inside that pass, so
-a bad value gets the same torn-tail policy and line number as a line
-that does not parse.
+trials, and ``inspect_journal`` (so ``repro journal inspect``) its live
+leases and parked trials, from a single ``scan_records`` pass; trial
+values are unpickled inside that pass, so a bad value gets the same
+torn-tail policy and line number as a line that does not parse.
 """
 
 import json
@@ -12,6 +12,7 @@ import json
 import pytest
 
 import repro.core.journal as journal_mod
+from repro.cli import EXIT_QUARANTINED, main
 from repro.core.journal import (
     TrialJournal,
     campaign_fingerprint,
@@ -57,7 +58,19 @@ def test_resume_and_inspect_each_scan_once(tmp_path, scans):
     assert scans == [path]
     stats = inspect_journal(path)
     assert (stats.live_leases, stats.quarantined) == (1, 1)
+    assert list(stats.open_leases) == [trial_key_id((1, 0))]
+    assert list(stats.parked) == [trial_key_id((2, 0))]
     assert scans == [path, path]
+
+
+def test_journal_inspect_command_reads_the_file_once(tmp_path, scans, capsys):
+    path = str(tmp_path / "j.jsonl")
+    _busy_journal(path)
+    assert main(["journal", "inspect", path]) == EXIT_QUARANTINED
+    assert scans == [path]
+    out = capsys.readouterr().out
+    assert f"  {trial_key_id((1, 0))}: owner a:1:1, attempt 1" in out
+    assert f"  {trial_key_id((2, 0))}: killed 1 distinct worker(s)" in out
 
 
 def _with_bad_value(path, terminated):

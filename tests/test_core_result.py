@@ -92,41 +92,47 @@ def _faulted_grid_scenario() -> Scenario:
 
 # -- a journal written before results were detached -------------------------------
 
-#: ``tests/fixtures/result_journal.jsonl`` holds one ``compare_protocols``
-#: trial (key ``"AODV"``) of this scenario, journalled by the code before
-#: results were detached: its value pickles the whole finished network
-#: (collector with its simulator and record lists, live sinks, sources
-#: and meters, and the channel's kernel backend by name).
+#: ``tests/fixtures/result_journal.jsonl`` (key ``"AODV"``) and
+#: ``result_journal_dymo.jsonl`` (key ``"DYMO"``) each hold one
+#: ``compare_protocols`` trial of this scenario, journalled by the code
+#: before results were detached: its value pickles the whole finished
+#: network (collector with its simulator and record lists, live sinks,
+#: sources, meters and routing agents with their ``__dict__`` state, and
+#: the channel's kernel backend by name).
 OLD_RESULT_SCENARIO = Scenario(
     num_nodes=6, road_length_m=1500.0, mobility_warmup_steps=20,
     sim_time_s=3.0, senders=(1, 2), traffic_start_s=0.5,
     traffic_stop_s=3.0, seed=7,
 )
-OLD_RESULT_JOURNAL = os.path.join(
-    os.path.dirname(__file__), "fixtures", "result_journal.jsonl"
-)
+OLD_RESULT_JOURNALS = {
+    protocol: os.path.join(os.path.dirname(__file__), "fixtures", name)
+    for protocol, name in (
+        ("AODV", "result_journal.jsonl"),
+        ("DYMO", "result_journal_dymo.jsonl"),
+    )
+}
 
 
-def _resume_old_journal(tmp_path):
-    """The fixture's AODV result, resumed from a copy of its journal;
-    returns the campaign telemetry and the result.
+def _resume_old_journal(tmp_path, protocol):
+    """The fixture's ``protocol`` result, resumed from a copy of its
+    journal; returns the campaign telemetry and the result.
 
     The journal pickled its channel's kernel backend as ``"cjit"``, so
     loading it warns once that the removed backend falls back to
     ``auto``; the backend caches are reset so it warns every time.
     """
     path = tmp_path / "old.jsonl"
-    shutil.copyfile(OLD_RESULT_JOURNAL, path)
+    shutil.copyfile(OLD_RESULT_JOURNALS[protocol], path)
     telemetry = CampaignTelemetry()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_BACKENDS", {})
         patch.setattr(kernels, "_WARNED", set())
         with pytest.warns(RuntimeWarning, match="cjit"):
             comparison = compare_protocols(
-                OLD_RESULT_SCENARIO, ("AODV",), journal_path=str(path),
+                OLD_RESULT_SCENARIO, (protocol,), journal_path=str(path),
                 resume=True, telemetry=telemetry,
             )
-    return telemetry, comparison.results["AODV"]
+    return telemetry, comparison.results[protocol]
 
 
 def _run(scenario, tmp_path):
@@ -134,7 +140,11 @@ def _run(scenario, tmp_path):
 
 
 def _resumed(scenario, tmp_path):
-    return _resume_old_journal(tmp_path)[1]
+    return _resume_old_journal(tmp_path, "AODV")[1]
+
+
+def _resumed_dymo(scenario, tmp_path):
+    return _resume_old_journal(tmp_path, "DYMO")[1]
 
 
 @pytest.mark.parametrize(
@@ -143,8 +153,12 @@ def _resumed(scenario, tmp_path):
         (Scenario(), _run),
         (_faulted_grid_scenario(), _run),
         (OLD_RESULT_SCENARIO, _resumed),
+        (OLD_RESULT_SCENARIO, _resumed_dymo),
     ],
-    ids=["default", "grid-crash-obstacle-poisson", "old-journal"],
+    ids=[
+        "default", "grid-crash-obstacle-poisson", "old-journal",
+        "old-journal-dymo",
+    ],
 )
 def test_result_pickles_without_live_objects(scenario, produce, tmp_path):
     result = produce(scenario, tmp_path)
@@ -300,13 +314,16 @@ def _without_uids(records):
     return [dataclasses.astuple(record)[1:] for record in records]
 
 
+@pytest.mark.parametrize("protocol", sorted(OLD_RESULT_JOURNALS))
 def test_journal_of_attached_results_resumes_with_identical_accessors(
-    tmp_path,
+    protocol, tmp_path,
 ):
-    telemetry, old = _resume_old_journal(tmp_path)
+    telemetry, old = _resume_old_journal(tmp_path, protocol)
     assert telemetry.trials_resumed == 1
     assert telemetry.trials_completed == 0
-    fresh = CavenetSimulation(OLD_RESULT_SCENARIO).run()
+    fresh = CavenetSimulation(
+        dataclasses.replace(OLD_RESULT_SCENARIO, protocol=protocol)
+    ).run()
 
     assert old.collector._sim is None
     assert 0.0 < fresh.pdr() < 1.0

@@ -177,18 +177,37 @@ def test_one_trial_loads_no_queue_machinery():
 
 
 class _PickledBeforeSlots:
-    """Pickles the way an object did while its class had a ``__dict__``."""
+    """Pickles the way an object did while its class had a ``__dict__``,
+    its attributes named as in ``old_names`` (current -> former)."""
 
-    def __init__(self, obj):
+    def __init__(self, obj, old_names=None):
         self.cls = type(obj)
-        self.state = _slot_values(obj)
+        names = old_names or {}
+        self.state = {
+            names.get(name, name): value
+            for name, value in _slot_values(obj).items()
+        }
 
     def __reduce__(self):
         return (object.__new__, (self.cls,), self.state)
 
 
 def _slot_values(obj):
-    return {name: getattr(obj, name) for name in type(obj).__slots__}
+    return {
+        name: getattr(obj, name)
+        for cls in type(obj).__mro__
+        for name in getattr(cls, "__slots__", ())
+    }
+
+
+def _agent_data(agent):
+    """A routing agent's learned state, comparable across a pickle."""
+    return (
+        agent.config, agent._seq, agent._msg_id, agent._seen,
+        agent._neighbors,
+        {dst: (e.next_hop, e.hops, e.seq, e.valid)
+         for dst, e in agent.table._entries.items()},
+    )
 
 
 def test_slotted_object_unpickles_slot_and_dict_state():
@@ -202,3 +221,23 @@ def test_slotted_object_unpickles_slot_and_dict_state():
             assert type(restored) is type(obj)
             assert not hasattr(restored, "__dict__")
             assert _slot_values(restored) == _slot_values(obj)
+    # Reactive agents, also as pickled before the shared core, when AODV
+    # named its message id and duplicate cache ``_rreq_id``/``_seen_rreqs``.
+    for protocol, old_names in (
+        ("AODV", {"_msg_id": "_rreq_id", "_seen": "_seen_rreqs"}),
+        ("DYMO", {}),
+    ):
+        network = TestNetwork(chain_coords(3), protocol=protocol)
+        network.start_routing()
+        network.nodes[0].originate_data(2, 512, flow_id=1, seq=1)
+        network.run(until=3.0)
+        agent = network.nodes[1].routing
+        assert agent._seen and agent.table._entries
+        for payload in (
+            pickle.dumps(agent),
+            pickle.dumps(_PickledBeforeSlots(agent, old_names)),
+        ):
+            restored = pickle.loads(payload)
+            assert type(restored) is type(agent)
+            assert not hasattr(restored, "__dict__")
+            assert _agent_data(restored) == _agent_data(agent)

@@ -5,6 +5,16 @@ import pytest
 from repro.routing.aodv import Aodv, AodvConfig
 
 from helpers import TestNetwork, chain_coords
+from reactive_cases import (  # noqa: F401  (collected here for AODV)
+    test_buffer_overflow_drops_oldest,
+    test_reset_state_drops_buffer_and_cancels_discoveries,
+    test_ttl_expiry_drops_data,
+)
+
+
+@pytest.fixture
+def protocol():
+    return "AODV"
 
 
 def _chain(n, **kwargs):
@@ -81,7 +91,13 @@ def test_partitioned_destination_dropped_after_retries():
     packet = network.nodes[0].originate_data(3, 512, flow_id=1, seq=1)
     network.run(until=30.0)
     assert packet.uid not in network.delivered_uids()
-    assert network.metrics.drops.get("no_route", 0) >= 1
+    rreqs = [
+        t
+        for t in network.metrics.control_transmissions()
+        if t.kind == "AODV_RREQ" and t.node == 0
+    ]
+    assert len(rreqs) == AodvConfig().max_discovery_attempts == 3
+    assert network.metrics.drops.get("no_route", 0) == 1
 
 
 def test_link_break_triggers_rerr_and_rediscovery():
@@ -118,31 +134,8 @@ def test_hello_messages_flow():
     assert len(hellos) >= 8  # two nodes, ~1/s each
 
 
-def test_ttl_expiry_drops_data():
-    network = _chain(3)
-    # Forge a data packet with a tiny TTL by sending through routing after
-    # discovery.
-    network.nodes[0].originate_data(2, 512, flow_id=1, seq=1)
-    network.run(until=3.0)
-    from repro.net.packet import Packet
-
-    doomed = Packet("DATA", 0, 2, 512, network.sim.now, ttl=1)
-    network.nodes[1].routing.forward_data(doomed, prev_hop=0)
-    assert network.metrics.drops.get("ttl_expired", 0) == 1
-
-
 def test_config_derived_times():
     config = AodvConfig()
     assert config.net_traversal_time_s == pytest.approx(2.8)
     assert config.path_discovery_time_s == pytest.approx(5.6)
     assert config.neighbor_lifetime_s == pytest.approx(2.0)
-
-
-def test_buffer_overflow_drops_oldest():
-    coords = chain_coords(2) + [(9000.0, 0.0)]
-    network = TestNetwork(coords, protocol="AODV")
-    network.start_routing()
-    for i in range(70):  # buffer capacity is 64
-        network.nodes[0].originate_data(2, 512, flow_id=1, seq=i)
-    network.run(until=0.5)
-    assert network.metrics.drops.get("buffer_overflow", 0) >= 6

@@ -7,6 +7,16 @@ from repro.net.packet import Packet
 from repro.routing.aodv import RERR, Aodv, RerrHeader
 
 from helpers import TestNetwork, chain_coords
+from reactive_cases import (  # noqa: F401  (collected here for AODV)
+    test_link_break_flushes_mac_queue,
+    test_rerr_invalidates_only_routes_via_sender,
+    test_rerr_not_propagated_when_nothing_invalidated,
+)
+
+
+@pytest.fixture
+def protocol():
+    return "AODV"
 
 
 def _network(n=4):
@@ -23,20 +33,6 @@ def test_forwarding_records_precursors():
     entry = aodv_1.table.get(3)
     assert entry is not None
     assert 0 in entry.precursors  # node 0 routes to 3 through us
-
-
-def test_rerr_invalidates_only_routes_via_sender():
-    network = _network(3)
-    aodv: Aodv = network.nodes[0].routing
-    now = network.sim.now
-    aodv.table.update(5, next_hop=1, hops=2, seq=4, lifetime=100.0, now=now)
-    aodv.table.update(6, next_hop=2, hops=2, seq=4, lifetime=100.0, now=now)
-    rerr = Packet(
-        RERR, 1, -1, 20, now, header=RerrHeader(unreachable=((5, 5), (6, 5)))
-    )
-    aodv._recv_rerr(rerr, prev_hop=1)
-    assert aodv.table.lookup(5, now) is None  # via the RERR sender: dead
-    assert aodv.table.lookup(6, now) is not None  # via node 2: untouched
 
 
 def test_rerr_propagates_when_it_invalidates():
@@ -56,22 +52,6 @@ def test_rerr_propagates_when_it_invalidates():
     assert RERR in kinds
 
 
-def test_rerr_not_propagated_when_nothing_invalidated():
-    network = _network(3)
-    aodv: Aodv = network.nodes[0].routing
-    now = network.sim.now
-    before = len(network.metrics.transmissions)
-    rerr = Packet(
-        RERR, 1, -1, 20, now, header=RerrHeader(unreachable=((77, 5),))
-    )
-    aodv._recv_rerr(rerr, prev_hop=1)
-    network.run(until=network.sim.now + 0.1)
-    kinds = [
-        t.kind for t in network.metrics.transmissions[before:] if t.node == 0
-    ]
-    assert RERR not in kinds
-
-
 def test_rerr_bumps_sequence_number():
     network = _network(3)
     aodv: Aodv = network.nodes[0].routing
@@ -84,18 +64,3 @@ def test_rerr_bumps_sequence_number():
     entry = aodv.table.get(5)
     assert not entry.valid
     assert entry.seq >= 9  # freshness carried over from the RERR
-
-
-def test_link_break_flushes_mac_queue():
-    network = _network(2)
-    node = network.nodes[0]
-    aodv: Aodv = node.routing
-    now = network.sim.now
-    aodv.table.update(1, next_hop=1, hops=1, seq=2, lifetime=100.0, now=now)
-    # Stuff the MAC queue with data to node 1.
-    for seq in range(10):
-        node.originate_data(1, 1500, flow_id=1, seq=seq)
-    queued_before = len(node.mac.queue)
-    assert queued_before > 0
-    aodv._handle_link_break(1)
-    assert len(node.mac.queue) == 0

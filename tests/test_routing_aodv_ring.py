@@ -116,4 +116,5 @@ class TestRingBehaviour:
             for t in network.metrics.control_transmissions()
             if t.kind == "AODV_RREQ" and t.node == 0
         )
-        assert rreqs == AodvConfig(expanding_ring=True).max_discovery_attempts
+        assert rreqs == AodvConfig(expanding_ring=True).max_discovery_attempts == 7
+        assert network.metrics.drops.get("no_route", 0) == 1

@@ -5,6 +5,19 @@ import pytest
 from repro.routing.dymo import Dymo, DymoConfig
 
 from helpers import TestNetwork, chain_coords
+from reactive_cases import (  # noqa: F401  (collected here for DYMO)
+    test_buffer_overflow_drops_oldest,
+    test_link_break_flushes_mac_queue,
+    test_reset_state_drops_buffer_and_cancels_discoveries,
+    test_rerr_invalidates_only_routes_via_sender,
+    test_rerr_not_propagated_when_nothing_invalidated,
+    test_ttl_expiry_drops_data,
+)
+
+
+@pytest.fixture
+def protocol():
+    return "DYMO"
 
 
 def _chain(n, **kwargs):
@@ -95,7 +108,13 @@ def test_partitioned_target_drops_after_retries():
     packet = network.nodes[0].originate_data(2, 512, flow_id=1, seq=1)
     network.run(until=30.0)
     assert packet.uid not in network.delivered_uids()
-    assert network.metrics.drops.get("no_route", 0) >= 1
+    rreqs = [
+        t
+        for t in network.metrics.control_transmissions()
+        if t.kind == "DYMO_RREQ" and t.node == 0
+    ]
+    assert len(rreqs) == 3  # the first RREQ and rreq_retries (2) retries
+    assert network.metrics.drops.get("no_route", 0) == 1
 
 
 def test_seq_numbers_monotone_per_node():
