@@ -26,26 +26,16 @@ The high-level entry points live in :mod:`repro.core`:
 True
 """
 
+from repro._lazy import lazy_exports
+
 __version__ = "1.0.0"
 
 __all__ = ["Scenario", "CavenetSimulation", "__version__"]
 
-_LAZY_EXPORTS = {
-    "Scenario": ("repro.core.config", "Scenario"),
-    "CavenetSimulation": ("repro.core.simulation", "CavenetSimulation"),
-}
-
-
-def __getattr__(name):
-    """Lazily expose the high-level API (PEP 562).
-
-    Importing :mod:`repro` stays cheap for consumers that only need one
-    subsystem (e.g. just the CA model); the facade classes pull in the whole
-    network stack only when actually referenced.
-    """
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module_name, attribute = _LAZY_EXPORTS[name]
-        return getattr(importlib.import_module(module_name), attribute)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Importing repro stays cheap for consumers that need one subsystem (say,
+# just the CA model): the facade classes load the network stack only when
+# first referenced.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Scenario": "repro.core.config:Scenario",
+    "CavenetSimulation": "repro.core.simulation:CavenetSimulation",
+})

@@ -6,19 +6,17 @@ the stochastic dawdling rule 2') reproduce the laminar and jammed regimes of
 real highway traffic.
 """
 
-from repro.ca.boundary import Boundary
-from repro.ca.history import CaHistory, evolve
-from repro.ca.intersection import CrossingRoads
-from repro.ca.nasch import NagelSchreckenberg
-from repro.ca.multilane import MultiLaneRoad
-from repro.ca.vehicle import VehicleState
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Boundary",
-    "NagelSchreckenberg",
-    "MultiLaneRoad",
-    "CrossingRoads",
-    "VehicleState",
-    "CaHistory",
-    "evolve",
-]
+_EXPORTS = {
+    "Boundary": "repro.ca.boundary:Boundary",
+    "NagelSchreckenberg": "repro.ca.nasch:NagelSchreckenberg",
+    "MultiLaneRoad": "repro.ca.multilane:MultiLaneRoad",
+    "CrossingRoads": "repro.ca.intersection:CrossingRoads",
+    "VehicleState": "repro.ca.vehicle:VehicleState",
+    "CaHistory": "repro.ca.history:CaHistory",
+    "evolve": "repro.ca.history:evolve",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -10,43 +10,30 @@ sweeps protocols and parameters for the evaluation figures;
 resolves through, one namespace per kind (``registry.KINDS``).
 
 Exports are lazy (PEP 562, like :mod:`repro` itself) so that leaf modules
-— :mod:`repro.phy.propagation`, :mod:`repro.routing`,
-:mod:`repro.traffic`, :mod:`repro.mobility.builders` — can import
-:mod:`repro.core.registry` to register their built-in components without
-dragging the whole facade (and a circular import) in behind it.
+— :mod:`repro.routing`, :mod:`repro.kernels` — can import
+:mod:`repro.core.registry` without dragging the whole facade (and a
+circular import) in behind it.
 """
 
-_LAZY_EXPORTS = {
-    "Scenario": ("repro.core.config", "Scenario"),
-    "CavenetSimulation": ("repro.core.simulation", "CavenetSimulation"),
-    "SimulationResult": ("repro.core.simulation", "SimulationResult"),
-    "ProtocolComparison": ("repro.core.experiment", "ProtocolComparison"),
-    "compare_protocols": ("repro.core.experiment", "compare_protocols"),
-    "goodput_surface": ("repro.core.experiment", "goodput_surface"),
-    "TrialOutcome": ("repro.core.runner", "TrialOutcome"),
-    "TrialRunner": ("repro.core.runner", "TrialRunner"),
-    "TrialSpec": ("repro.core.runner", "TrialSpec"),
-    "run_trials": ("repro.core.runner", "run_trials"),
-    "SweepPoint": ("repro.core.sweep", "SweepPoint"),
-    "SweepResult": ("repro.core.sweep", "SweepResult"),
-    "run_sweep": ("repro.core.sweep", "run_sweep"),
-    "sweep_scenario": ("repro.core.sweep", "sweep_scenario"),
-    "registry": ("repro.core", "registry"),
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "Scenario": "repro.core.config:Scenario",
+    "CavenetSimulation": "repro.core.simulation:CavenetSimulation",
+    "SimulationResult": "repro.core.simulation:SimulationResult",
+    "ProtocolComparison": "repro.core.experiment:ProtocolComparison",
+    "compare_protocols": "repro.core.experiment:compare_protocols",
+    "goodput_surface": "repro.core.experiment:goodput_surface",
+    "TrialOutcome": "repro.core.runner:TrialOutcome",
+    "TrialRunner": "repro.core.runner:TrialRunner",
+    "TrialSpec": "repro.core.runner:TrialSpec",
+    "run_trials": "repro.core.runner:run_trials",
+    "SweepPoint": "repro.core.sweep:SweepPoint",
+    "SweepResult": "repro.core.sweep:SweepResult",
+    "run_sweep": "repro.core.sweep:run_sweep",
+    "sweep_scenario": "repro.core.sweep:sweep_scenario",
+    "registry": "repro.core.registry",
 }
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = sorted(_LAZY_EXPORTS)
-
-
-def __getattr__(name):
-    if name in _LAZY_EXPORTS:
-        import importlib
-
-        module_name, attribute = _LAZY_EXPORTS[name]
-        if module_name == "repro.core":  # submodule export (registry)
-            return importlib.import_module(f"repro.core.{attribute}")
-        return getattr(importlib.import_module(module_name), attribute)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return __all__
+__all__ = sorted(_EXPORTS)

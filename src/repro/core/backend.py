@@ -21,7 +21,8 @@ namespace, ``backend``:
 ``auto``
     ``local-serial`` for ``max_workers == 1``, else the private queue.
 
-All five names register here.  The queue's factories import
+All five names resolve to the factories here (declared in
+:mod:`repro.core.registry`).  The queue's factories import
 :mod:`repro.core.distq` (and with it ``multiprocessing``) only when they
 build a backend, so a single trial, or a serial campaign, never loads
 the queue machinery.
@@ -33,11 +34,12 @@ identical specs: supervision changes failure handling, never results.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.core.journal import TrialJournal
-from repro.core.registry import register
 from repro.core.runner import TrialOutcome, TrialRunner, TrialSpec
+
+if TYPE_CHECKING:  # annotation-only: a trial never loads the journal
+    from repro.core.journal import TrialJournal
 
 #: The degradation ladder, most to least capable.  A shared queue
 #: directory that stops cooperating first retries the rest on a private
@@ -82,27 +84,22 @@ class LocalSerialBackend(ExecutionBackend):
         ]
 
 
-@register("backend", "local-serial")
 def make_local_serial(runner: TrialRunner) -> ExecutionBackend:
     return LocalSerialBackend(runner)
 
 
-@register("backend", "dir-queue")
 def make_dir_queue(runner: TrialRunner) -> ExecutionBackend:
     from repro.core.distq import DirQueueBackend
 
     return DirQueueBackend(runner)
 
 
-@register("backend", "local-supervised")
-@register("backend", "local-process")  # the retired process pool's name
 def make_local_supervised(runner: TrialRunner) -> ExecutionBackend:
     from repro.core.distq import LocalSupervisedBackend
 
     return LocalSupervisedBackend(runner)
 
 
-@register("backend", "auto")
 def make_auto(runner: TrialRunner) -> ExecutionBackend:
     """Serial for one worker, the private-directory queue otherwise."""
     if runner.max_workers == 1:

@@ -211,8 +211,8 @@ class Scenario:
         # place (registry.normalize) with the current list of choices,
         # and case never leaks into fingerprints or labels.  The routing
         # namespace is only *normalized* here (upper case); existence is
-        # checked lazily at validate()/dispatch time to keep Scenario
-        # construction from importing the whole protocol stack.
+        # checked at validate()/dispatch time, so a scenario may name a
+        # protocol that is registered after it was built.
         object.__setattr__(
             self, "boundary", registry.normalize("boundary", self.boundary)
         )
@@ -267,8 +267,8 @@ class Scenario:
         # registry and store an owned deep copy, so scenario equality and
         # fingerprints see one spelling and later caller-side mutation of
         # the spec dicts cannot leak in.  The empty default takes the
-        # short branch and never imports repro.faults, keeping fault-free
-        # scenarios on the exact pre-fault code path.
+        # short branch, keeping fault-free scenarios on the exact
+        # pre-fault code path.
         if self.faults:
             normalized = []
             for entry in self.faults:
@@ -284,8 +284,7 @@ class Scenario:
         else:
             object.__setattr__(self, "faults", ())
         # Channel-effect specs: same normalization contract as faults —
-        # canonical "kind" spelling, owned deep copies, and the empty
-        # default never imports repro.phy.effects.
+        # canonical "kind" spelling and owned deep copies.
         if self.effects:
             normalized_effects = []
             for entry in self.effects:

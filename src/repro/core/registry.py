@@ -60,11 +60,15 @@ Eleven kinds exist (:data:`KINDS`):
     declared per scenario via ``Scenario.effects`` and applied as an
     ordered stack to every link's receive power.
 
-Built-in implementations register themselves at import time of their home
-module; the registry imports those modules lazily on first lookup, so
-``import repro.core.registry`` alone stays dependency-free and leaf
-modules can import the decorator without cycles.  Third-party code extends
-any namespace with no edits to ``repro.*``::
+Built-in implementations are declared here, once, as ``name ->
+"module:attr"`` rows (:data:`_BUILTINS`).  Listing, validating and
+describing names (:func:`known`, :func:`normalize`, :func:`describe`,
+iterating a :class:`RegistryView`) read that table and import nothing;
+:func:`resolve` imports an entry's module the first time the entry is
+resolved and keeps the object, so a run loads only the components it
+uses and later lookups are dict hits.  ``import repro.core.registry``
+itself stays dependency-free.  Third-party code extends any namespace
+with no edits to ``repro.*``::
 
     from repro.core.registry import register
 
@@ -79,9 +83,9 @@ these registries rather than hand-kept tuples.
 
 from __future__ import annotations
 
-import importlib
-from typing import Any, Callable, Dict, Iterator, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
+from repro._lazy import load
 from repro.util.errors import ConfigError
 
 #: The component namespaces, in the order `repro components` lists them.
@@ -116,22 +120,68 @@ _NOUNS: Dict[str, str] = {
     "effect": "channel effect",
 }
 
-#: Modules whose import registers the built-in entries of each kind.
-#: Imported lazily on first lookup (never on registration), which keeps
-#: this module import-free and breaks the cycle leaf modules would
-#: otherwise create by importing the decorator.
-_BUILTIN_MODULES: Dict[str, Tuple[str, ...]] = {
-    "propagation": ("repro.phy.propagation",),
-    "routing": ("repro.routing",),
-    "mobility": ("repro.mobility.builders",),
-    "boundary": ("repro.mobility.builders",),
-    "traffic": ("repro.traffic",),
-    "fault": ("repro.faults",),
-    "spatial": ("repro.phy.spatial",),
-    "kernels": ("repro.kernels",),
-    "backend": ("repro.core.backend",),
-    "tech": ("repro.phy.tech",),
-    "effect": ("repro.phy.effects",),
+#: Every built-in component, ``kind -> {name: "module:attr"}``.  The
+#: module is imported when the entry is first resolved, never before.
+_BUILTINS: Dict[str, Dict[str, str]] = {
+    "propagation": {
+        "two_ray": "repro.phy.propagation:_make_two_ray",
+        "free_space": "repro.phy.propagation:_make_free_space",
+        "shadowing": "repro.phy.propagation:_make_shadowing",
+        "nakagami": "repro.phy.propagation:_make_nakagami",
+    },
+    "routing": {
+        "AODV": "repro.routing.aodv:Aodv",
+        "OLSR": "repro.routing.olsr:Olsr",
+        "DYMO": "repro.routing.dymo:Dymo",
+        "DSDV": "repro.routing.dsdv:Dsdv",
+        "FLOODING": "repro.routing.flooding:Flooding",
+    },
+    "mobility": {
+        "random": "repro.mobility.builders:_place_random",
+        "uniform": "repro.mobility.builders:_place_uniform",
+    },
+    "traffic": {
+        "cbr": "repro.traffic:_make_cbr",
+        "poisson": "repro.traffic:_make_poisson",
+    },
+    "boundary": {
+        "circuit": "repro.mobility.builders:_make_circuit",
+        "line": "repro.mobility.builders:_make_line",
+    },
+    "fault": {
+        "node-crash": "repro.faults.models:NodeCrash",
+        "radio-silence": "repro.faults.models:RadioSilence",
+        "channel-degradation": "repro.faults.models:ChannelDegradation",
+        "packet-blackhole": "repro.faults.models:PacketBlackhole",
+    },
+    "spatial": {
+        "dense": "repro.phy.spatial:_make_dense",
+        "grid": "repro.phy.spatial:_make_grid",
+    },
+    "kernels": {
+        "python": "repro.kernels:make_python",
+        "vector": "repro.kernels:make_vector",
+        "numba": "repro.kernels:make_numba",
+        "cjit": "repro.kernels:make_cjit",
+        "auto": "repro.kernels:make_auto",
+    },
+    "backend": {
+        "local-serial": "repro.core.backend:make_local_serial",
+        "dir-queue": "repro.core.backend:make_dir_queue",
+        "local-supervised": "repro.core.backend:make_local_supervised",
+        # The retired process pool's name.
+        "local-process": "repro.core.backend:make_local_supervised",
+        "auto": "repro.core.backend:make_auto",
+    },
+    "tech": {
+        "80211-dsss": "repro.phy.tech:_make_dsss",
+        "80211p": "repro.phy.tech:_make_80211p",
+    },
+    "effect": {
+        "db-offset": "repro.phy.effects:_make_db_offset",
+        "random-loss": "repro.phy.effects:_make_random_loss",
+        "obstacle": "repro.phy.effects:_make_obstacle",
+    },
 }
 
 
@@ -141,14 +191,20 @@ class Registry:
     Lookup is case-insensitive; the *canonical* spelling is whatever the
     component registered under, and :meth:`normalize` maps any accepted
     spelling onto it (so fingerprints and labels cannot diverge between
-    ``"aodv"`` and ``"AODV"``).
+    ``"aodv"`` and ``"AODV"``).  ``builtins`` declares entries by
+    ``"module:attr"`` path; :meth:`get` imports one on first use.
     """
 
-    def __init__(self, kind: str, noun: str) -> None:
+    def __init__(
+        self, kind: str, noun: str, builtins: Mapping[str, str] = {}
+    ) -> None:
         self.kind = kind
         self.noun = noun
-        self._entries: Dict[str, Callable[..., Any]] = {}
-        self._canonical: Dict[str, str] = {}  # casefolded -> canonical
+        self._entries: Dict[str, Callable[..., Any]] = {}  # loaded only
+        self._paths: Dict[str, str] = dict(builtins)  # declared built-ins
+        self._canonical: Dict[str, str] = {  # casefolded -> canonical
+            name.casefold(): name for name in builtins
+        }
 
     # -- registration -------------------------------------------------------
 
@@ -169,25 +225,27 @@ class Registry:
                 f"{self.noun} {name!r} is already registered (as "
                 f"{self._canonical[key]!r}); pass overwrite=True to replace"
             )
-        previous = self._canonical.get(key)
-        if previous is not None and previous != name:
-            del self._entries[previous]
+        self._drop(key)
         self._canonical[key] = str(name)
         self._entries[str(name)] = factory
 
     def unregister(self, name: str) -> None:
         """Remove an entry (tests and interactive experimentation)."""
-        key = str(name).casefold()
-        canonical = self._canonical.pop(key, None)
-        if canonical is None:
+        if self._drop(str(name).casefold()) is None:
             raise ConfigError(f"unknown {self.noun} {name!r}; nothing removed")
-        del self._entries[canonical]
+
+    def _drop(self, key: str) -> Optional[str]:
+        """Forget the entry under casefolded ``key``; return its canonical
+        spelling (None when there was none)."""
+        canonical = self._canonical.pop(key, None)
+        self._entries.pop(canonical, None)
+        self._paths.pop(canonical, None)
+        return canonical
 
     # -- lookup -------------------------------------------------------------
 
     def normalize(self, name: str) -> str:
         """Canonical spelling of ``name``; ConfigError if unknown."""
-        _ensure_builtins(self.kind)
         key = str(name).casefold()
         if key not in self._canonical:
             raise ConfigError(
@@ -196,49 +254,36 @@ class Registry:
         return self._canonical[key]
 
     def get(self, name: str) -> Callable[..., Any]:
-        """The factory registered under ``name`` (case-insensitive)."""
-        return self._entries[self.normalize(name)]
+        """The factory registered under ``name`` (case-insensitive); a
+        built-in's module is imported on its first lookup."""
+        canonical = self.normalize(name)
+        factory = self._entries.get(canonical)
+        if factory is None:
+            factory = self._entries[canonical] = load(self._paths[canonical])
+        return factory
 
     def names(self) -> Tuple[str, ...]:
         """Canonical names, sorted — the live list of legal choices."""
-        _ensure_builtins(self.kind)
-        return tuple(sorted(self._entries))
+        return tuple(sorted(self._canonical.values()))
 
     def describe(self) -> Dict[str, str]:
-        """``{name: "module:qualname"}`` for every entry (CLI listing)."""
-        _ensure_builtins(self.kind)
+        """``{name: "module:qualname"}`` for every entry (CLI listing);
+        built-ins are described by their declared path, unimported."""
         out = {}
         for name in self.names():
-            factory = self._entries[name]
-            module = getattr(factory, "__module__", "?")
-            qualname = getattr(factory, "__qualname__", repr(factory))
-            out[name] = f"{module}:{qualname}"
+            path = self._paths.get(name)
+            if path is None:
+                factory = self._entries[name]
+                module = getattr(factory, "__module__", "?")
+                qualname = getattr(factory, "__qualname__", repr(factory))
+                path = f"{module}:{qualname}"
+            out[name] = path
         return out
 
 
 _REGISTRIES: Dict[str, Registry] = {
-    kind: Registry(kind, _NOUNS[kind]) for kind in KINDS
+    kind: Registry(kind, _NOUNS[kind], _BUILTINS[kind]) for kind in KINDS
 }
-_LOADED: set = set()
-_LOADING: set = set()
-
-
-def _ensure_builtins(kind: str) -> None:
-    """Import the modules that register ``kind``'s built-ins (once).
-
-    Reentrancy-safe: a module registering itself mid-import is not
-    re-imported, so ``repro.routing`` may both define entries and be the
-    builtin module for its own kind.
-    """
-    for module in _BUILTIN_MODULES.get(kind, ()):
-        if module in _LOADED or module in _LOADING:
-            continue
-        _LOADING.add(module)
-        try:
-            importlib.import_module(module)
-            _LOADED.add(module)
-        finally:
-            _LOADING.discard(module)
 
 
 def registry(kind: str) -> Registry:

@@ -41,12 +41,16 @@ from __future__ import annotations
 import dataclasses
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.core import registry as _registry
-from repro.core.journal import TrialJournal, trial_key_id
 from repro.metrics.collector import CampaignTelemetry, TrialRecord
 from repro.util.errors import ConfigError
+
+if TYPE_CHECKING:  # run() imports the journal only when one is passed
+    from repro.core.journal import TrialJournal
 
 
 @dataclasses.dataclass(frozen=True)
@@ -221,6 +225,8 @@ class TrialRunner:
         outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
         fresh: List[Tuple[int, TrialSpec]] = []
         if journal is not None:
+            from repro.core.journal import trial_key_id
+
             for index, spec in enumerate(specs):
                 key_id = trial_key_id(spec.key)
                 entry = journal.completed.get(key_id)

@@ -18,24 +18,16 @@ swap a single stage (say, a custom channel) and inherit the rest.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import metrics as _metrics
 from repro.core import registry
 from repro.core.config import Scenario
 from repro.des.engine import Simulator
 from repro.mac.dcf import MacStats
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.delay import DelayStats, delay_stats
-from repro.metrics.goodput import goodput_series, total_goodput_bps
-from repro.metrics.overhead import ControlOverhead, control_overhead, normalized_routing_load
-from repro.metrics.pdr import packet_delivery_ratio, pdr_by_flow
-from repro.metrics.resilience import (
-    availability,
-    pdr_timeline,
-    recovery_times_s,
-)
 from repro.mobility.ca_mobility import CaMobility
 from repro.mobility.trace import MobilityTrace, TracePlayer
 from repro.net.node import Node
@@ -48,6 +40,10 @@ from repro.traffic.base import TrafficSource
 from repro.traffic.sink import Sink
 from repro.util.errors import ConfigError
 from repro.util.rng import RngStreams
+
+if TYPE_CHECKING:  # the analysis metrics load when a result is read
+    from repro.metrics.delay import DelayStats
+    from repro.metrics.overhead import ControlOverhead
 
 
 @dataclasses.dataclass
@@ -100,7 +96,7 @@ class SimulationResult:
 
     def pdr(self, flow_id: Optional[int] = None) -> float:
         """Packet delivery ratio of one flow (or overall)."""
-        return packet_delivery_ratio(self.collector, flow_id)
+        return _metrics.packet_delivery_ratio(self.collector, flow_id)
 
     def pdr_per_sender(self) -> Dict[int, float]:
         """PDR per sender (flow ids are sender ids) — Fig. 11's bars.
@@ -110,7 +106,7 @@ class SimulationResult:
         the whole traffic window must not vanish from the report).
         """
         configured = [fid for fid, _src, _dst in self.scenario.traffic_flows()]
-        return pdr_by_flow(self.collector, configured)
+        return _metrics.pdr_by_flow(self.collector, configured)
 
     # -- resilience (fault-injection) accessors ------------------------------
 
@@ -124,31 +120,33 @@ class SimulationResult:
     def pdr_timeline(self, bin_s: float = 1.0):
         """Per-window PDR ``[(window_start_s, pdr), ...]`` — the
         dip-and-rebound curve of an outage."""
-        return pdr_timeline(self.collector, self.scenario.sim_time_s, bin_s)
+        return _metrics.pdr_timeline(
+            self.collector, self.scenario.sim_time_s, bin_s
+        )
 
     def availability(
         self, bin_s: float = 1.0, threshold: float = 0.5
     ) -> float:
         """Fraction of traffic-carrying windows with PDR >= threshold."""
-        return availability(
+        return _metrics.availability(
             self.collector, self.scenario.sim_time_s, bin_s, threshold
         )
 
     def recovery_times_s(self) -> Dict[float, float]:
         """Re-convergence gap after each ``node_up`` transition."""
-        return recovery_times_s(self.collector)
+        return _metrics.recovery_times_s(self.collector)
 
     def goodput_series(
         self, flow_id: Optional[int] = None, bin_s: float = 1.0
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Goodput over time for one sender — one ridge of Figs. 8-10."""
-        return goodput_series(
+        return _metrics.goodput_series(
             self.collector, flow_id, self.scenario.sim_time_s, bin_s
         )
 
     def mean_goodput_bps(self, flow_id: Optional[int] = None) -> float:
         """Average goodput over the traffic window."""
-        return total_goodput_bps(
+        return _metrics.total_goodput_bps(
             self.collector,
             flow_id,
             self.scenario.traffic_start_s,
@@ -157,15 +155,15 @@ class SimulationResult:
 
     def delay_stats(self, flow_id: Optional[int] = None) -> DelayStats:
         """End-to-end delay summary."""
-        return delay_stats(self.collector, flow_id)
+        return _metrics.delay_stats(self.collector, flow_id)
 
     def control_overhead(self) -> ControlOverhead:
         """Routing-control transmissions."""
-        return control_overhead(self.collector)
+        return _metrics.control_overhead(self.collector)
 
     def normalized_routing_load(self) -> float:
         """Control transmissions per delivered data packet."""
-        return normalized_routing_load(self.collector)
+        return _metrics.normalized_routing_load(self.collector)
 
 
 class CavenetSimulation:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.registry import register
 from repro.faults.base import FaultContext, FaultModel
 from repro.util.errors import ConfigError
 
@@ -31,7 +30,6 @@ def _require_nonnegative(name: str, value: float) -> float:
     return value
 
 
-@register("fault", "node-crash")
 class NodeCrash(FaultModel):
     """Crash nodes and bring them back: fixed schedule or seeded churn.
 
@@ -109,7 +107,6 @@ class NodeCrash(FaultModel):
                 t = up_at + float(rng.exponential(self.mtbf_s))
 
 
-@register("fault", "radio-silence")
 class RadioSilence(FaultModel):
     """Transmit-blackout windows at the channel layer.
 
@@ -179,7 +176,6 @@ class RadioSilence(FaultModel):
             )
 
 
-@register("fault", "channel-degradation")
 class ChannelDegradation(FaultModel):
     """Timed extra path-loss bursts applied through the channel fast path.
 
@@ -254,7 +250,6 @@ class ChannelDegradation(FaultModel):
         )
 
 
-@register("fault", "packet-blackhole")
 class PacketBlackhole(FaultModel):
     """Nodes that forward control traffic but drop transit DATA.
 

@@ -31,7 +31,6 @@ import sys
 import warnings
 from typing import Dict, Optional, Set
 
-from repro.core.registry import register
 from repro.core import registry as _registry
 from repro.kernels.base import KernelBackend
 from repro.kernels.vector import VectorBackend
@@ -88,31 +87,26 @@ def _fallback(name: str) -> KernelBackend:
     return resolve_backend("auto")
 
 
-@register("kernels", "python")
 def make_python(scenario=None) -> KernelBackend:
     """Pure-Python reference loops (the bit-identity ground truth)."""
     return KernelBackend()
 
 
-@register("kernels", "vector")
 def make_vector(scenario=None) -> KernelBackend:
     """Vectorized numpy kernels (always available)."""
     return VectorBackend()
 
 
-@register("kernels", "numba")
 def make_numba(scenario=None) -> KernelBackend:
     """The removed numba backend's name: warns once, resolves as auto."""
     return _fallback("numba")
 
 
-@register("kernels", "cjit")
 def make_cjit(scenario=None) -> KernelBackend:
     """The removed generated-C backend's name: warns once, resolves as auto."""
     return _fallback("cjit")
 
 
-@register("kernels", "auto")
 def make_auto(scenario=None) -> KernelBackend:
     """The default backend: numpy ``vector`` on every machine."""
     return VectorBackend()

@@ -6,46 +6,29 @@ Section IV-C reports (goodput time-series per sender, PDR per sender) plus
 the future-work metrics the conclusion names (routing overhead, delay).
 """
 
-from repro.metrics.collector import (
-    CampaignTelemetry,
-    ChannelTelemetry,
-    FaultEvent,
-    MetricsCollector,
-    TrialRecord,
-)
-from repro.metrics.goodput import goodput_series, total_goodput_bps
-from repro.metrics.pdr import packet_delivery_ratio, pdr_by_flow
-from repro.metrics.delay import delay_stats, mean_delay
-from repro.metrics.overhead import control_overhead, normalized_routing_load
-from repro.metrics.resilience import (
-    availability,
-    pdr_timeline,
-    recovery_times_s,
-)
-from repro.metrics.tracefile import (
-    TraceEvent,
-    parse_packet_trace,
-    render_packet_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignTelemetry",
-    "ChannelTelemetry",
-    "FaultEvent",
-    "TrialRecord",
-    "MetricsCollector",
-    "availability",
-    "pdr_timeline",
-    "recovery_times_s",
-    "goodput_series",
-    "total_goodput_bps",
-    "packet_delivery_ratio",
-    "pdr_by_flow",
-    "delay_stats",
-    "mean_delay",
-    "control_overhead",
-    "normalized_routing_load",
-    "TraceEvent",
-    "render_packet_trace",
-    "parse_packet_trace",
-]
+_EXPORTS = {
+    "CampaignTelemetry": "repro.metrics.collector:CampaignTelemetry",
+    "ChannelTelemetry": "repro.metrics.collector:ChannelTelemetry",
+    "FaultEvent": "repro.metrics.collector:FaultEvent",
+    "TrialRecord": "repro.metrics.collector:TrialRecord",
+    "MetricsCollector": "repro.metrics.collector:MetricsCollector",
+    "availability": "repro.metrics.resilience:availability",
+    "pdr_timeline": "repro.metrics.resilience:pdr_timeline",
+    "recovery_times_s": "repro.metrics.resilience:recovery_times_s",
+    "goodput_series": "repro.metrics.goodput:goodput_series",
+    "total_goodput_bps": "repro.metrics.goodput:total_goodput_bps",
+    "packet_delivery_ratio": "repro.metrics.pdr:packet_delivery_ratio",
+    "pdr_by_flow": "repro.metrics.pdr:pdr_by_flow",
+    "delay_stats": "repro.metrics.delay:delay_stats",
+    "mean_delay": "repro.metrics.delay:mean_delay",
+    "control_overhead": "repro.metrics.overhead:control_overhead",
+    "normalized_routing_load": "repro.metrics.overhead:normalized_routing_load",
+    "TraceEvent": "repro.metrics.tracefile:TraceEvent",
+    "render_packet_trace": "repro.metrics.tracefile:render_packet_trace",
+    "parse_packet_trace": "repro.metrics.tracefile:parse_packet_trace",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -6,17 +6,16 @@ trace exporters, and provides the Random Waypoint baseline whose velocity
 decay problem motivates the paper's Section IV-B discussion.
 """
 
-from repro.mobility.base import MobilityModel
-from repro.mobility.ca_mobility import CaMobility
-from repro.mobility.freeway import Freeway
-from repro.mobility.random_waypoint import RandomWaypoint
-from repro.mobility.trace import MobilityTrace, TracePlayer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MobilityModel",
-    "CaMobility",
-    "Freeway",
-    "RandomWaypoint",
-    "MobilityTrace",
-    "TracePlayer",
-]
+_EXPORTS = {
+    "MobilityModel": "repro.mobility.base:MobilityModel",
+    "CaMobility": "repro.mobility.ca_mobility:CaMobility",
+    "Freeway": "repro.mobility.freeway:Freeway",
+    "RandomWaypoint": "repro.mobility.random_waypoint:RandomWaypoint",
+    "MobilityTrace": "repro.mobility.trace:MobilityTrace",
+    "TracePlayer": "repro.mobility.trace:TracePlayer",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

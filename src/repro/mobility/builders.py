@@ -23,11 +23,9 @@ import numpy as np
 
 from repro.ca.boundary import Boundary
 from repro.ca.nasch import NagelSchreckenberg
-from repro.core.registry import register
 from repro.geometry.layout import RoadLayout
 
 
-@register("boundary", "circuit")
 def _make_circuit(scenario) -> Tuple[RoadLayout, Boundary]:
     """Improved CAVENET: the lane closed into a circle (paper Fig. 1b)."""
     layout = RoadLayout.single_circuit(
@@ -36,7 +34,6 @@ def _make_circuit(scenario) -> Tuple[RoadLayout, Boundary]:
     return layout, Boundary.PERIODIC
 
 
-@register("boundary", "line")
 def _make_line(scenario) -> Tuple[RoadLayout, Boundary]:
     """Original CAVENET: a straight lane with the wrap-shift teleport."""
     layout = RoadLayout.single_line(
@@ -45,7 +42,6 @@ def _make_line(scenario) -> Tuple[RoadLayout, Boundary]:
     return layout, Boundary.WRAP_SHIFT
 
 
-@register("mobility", "random")
 def _place_random(
     scenario, boundary: Boundary, rng: np.random.Generator
 ) -> NagelSchreckenberg:
@@ -70,7 +66,6 @@ def _place_random(
     )
 
 
-@register("mobility", "uniform")
 def _place_uniform(
     scenario, boundary: Boundary, rng: np.random.Generator
 ) -> NagelSchreckenberg:

@@ -17,17 +17,19 @@ The boundary condition decides what a wrap means geometrically:
 
 from __future__ import annotations
 
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from repro.ca.boundary import Boundary
-from repro.ca.multilane import MultiLaneRoad
 from repro.ca.nasch import NagelSchreckenberg
 from repro.geometry.layout import RoadLayout
 from repro.mobility.base import MobilityModel
 from repro.mobility.trace import MobilityTrace
 from repro.util.units import TIME_STEP_S
+
+if TYPE_CHECKING:  # a single-lane run never loads the multi-lane CA
+    from repro.ca.multilane import MultiLaneRoad
 
 
 class CaMobility(MobilityModel):
@@ -52,9 +54,10 @@ class CaMobility(MobilityModel):
         self._model = model
         self._layout = layout
         self._dt = float(time_step_s)
-        num_lanes = (
-            model.num_lanes if isinstance(model, MultiLaneRoad) else 1
-        )
+        # The automaton is a NagelSchreckenberg (one lane) or else a
+        # MultiLaneRoad.
+        self._multilane = not isinstance(model, NagelSchreckenberg)
+        num_lanes = model.num_lanes if self._multilane else 1
         if layout.num_lanes < num_lanes:
             raise ValueError(
                 f"layout has {layout.num_lanes} lanes but the automaton "
@@ -70,7 +73,7 @@ class CaMobility(MobilityModel):
         # Node index <-> vehicle id: vehicles are numbered 0..N-1 at
         # construction, and the population is fixed for the boundaries this
         # adapter supports, so ids are stable node indices.
-        if isinstance(model, NagelSchreckenberg) and model.boundary is Boundary.OPEN:
+        if not self._multilane and model.boundary is Boundary.OPEN:
             raise ValueError(
                 "OPEN boundaries change the vehicle population; network "
                 "nodes need a fixed population — use PERIODIC or WRAP_SHIFT"
@@ -101,7 +104,7 @@ class CaMobility(MobilityModel):
         on the per-step sampling path).
         """
         model = self._model
-        if isinstance(model, MultiLaneRoad):
+        if self._multilane:
             for k in range(model.num_lanes):
                 yield k, model.lane_positions(k), model.lane_ids(k)
         else:
@@ -165,7 +168,7 @@ class CaMobility(MobilityModel):
     def _accumulate_shifts(self, shifted_since_last: np.ndarray) -> None:
         """OR this step's wrap flags (open lanes only) into the row."""
         model = self._model
-        if isinstance(model, MultiLaneRoad):
+        if self._multilane:
             for k in range(model.num_lanes):
                 if self._lane_closed(k):
                     continue

@@ -48,7 +48,6 @@ from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.registry import register
 from repro.util.errors import ConfigError
 
 
@@ -332,7 +331,6 @@ class ObstacleShadowing(ChannelEffect):
 # (``"effect-{index}"``) handed out by ``build_effects``.
 
 
-@register("effect", "db-offset")
 def _make_db_offset(
     scenario: Any, streams: Any, name: str, offset_db: float = 0.0
 ) -> DbOffset:
@@ -340,7 +338,6 @@ def _make_db_offset(
     return DbOffset(offset_db=float(offset_db))
 
 
-@register("effect", "random-loss")
 def _make_random_loss(
     scenario: Any, streams: Any, name: str, loss_p: float = 0.0
 ) -> RandomLoss:
@@ -348,7 +345,6 @@ def _make_random_loss(
     return RandomLoss(streams, name, float(loss_p))
 
 
-@register("effect", "obstacle")
 def _make_obstacle(
     scenario: Any,
     streams: Any,

@@ -45,7 +45,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.registry import register
 from repro.phy.tech import DSSS_FREQUENCY_HZ
 
 #: Speed of light, m/s.
@@ -498,19 +497,16 @@ class LogNormalShadowing(PropagationModel):
 # registry-dispatched run is bit-identical to the old if/elif dispatch.
 
 
-@register("propagation", "two_ray")
 def _make_two_ray(scenario, streams) -> TwoRayGround:
     """Table I's two-ray-ground model (scenario knobs: none)."""
     return TwoRayGround()
 
 
-@register("propagation", "free_space")
 def _make_free_space(scenario, streams) -> FreeSpace:
     """Friis free-space model (scenario knobs: none)."""
     return FreeSpace()
 
 
-@register("propagation", "shadowing")
 def _make_shadowing(scenario, streams) -> LogNormalShadowing:
     """Log-normal shadowing (knobs: shadowing_exponent, shadowing_sigma_db)."""
     return LogNormalShadowing(
@@ -520,7 +516,6 @@ def _make_shadowing(scenario, streams) -> LogNormalShadowing:
     )
 
 
-@register("propagation", "nakagami")
 def _make_nakagami(scenario, streams) -> NakagamiFading:
     """Nakagami-m fading over a two-ray mean (knob: nakagami_m)."""
     return NakagamiFading(m=scenario.nakagami_m, rng=streams.stream("fading"))

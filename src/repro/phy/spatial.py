@@ -38,7 +38,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.registry import register
 from repro.util.errors import ConfigError
 
 
@@ -240,13 +239,11 @@ def cull_radius_for(scenario) -> float:
     return float(scenario.cs_range_m)
 
 
-@register("spatial", "dense")
 def _make_dense(scenario) -> None:
     """Exact O(N^2) link cache — no culling (scenario knobs: none)."""
     return None
 
 
-@register("spatial", "grid")
 def _make_grid(scenario) -> UniformGridIndex:
     """Uniform-grid culling (knob: cull_radius_m, default cs_range_m)."""
     radius = cull_radius_for(scenario)

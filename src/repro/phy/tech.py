@@ -47,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Mapping, Tuple
 
-from repro.core.registry import register
 from repro.phy.energy import EnergyParams
 from repro.util.errors import ConfigError
 
@@ -224,7 +223,6 @@ class TechProfile:
 # -- builtin profiles -------------------------------------------------------
 
 
-@register("tech", "80211-dsss")
 def _make_dsss(scenario: Any, **options: Any) -> TechProfile:
     """Table I's 802.11 DSSS radio — the default, built from the
     scenario's ``mac_params`` so the profile and the legacy MAC numbers
@@ -248,7 +246,6 @@ _80211P_MCS: Tuple[Tuple[float, float], ...] = (
 )
 
 
-@register("tech", "80211p")
 def _make_80211p(scenario: Any, **options: Any) -> TechProfile:
     """5.9 GHz 802.11p/DSRC: 10 MHz channels, 3–27 Mbps OFDM ladder,
     40 µs preamble, control traffic at the 3 Mbps mandatory rate."""

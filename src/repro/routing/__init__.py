@@ -20,23 +20,19 @@ Name-to-class dispatch goes through the ``"routing"`` namespace of
 ``@register("routing", "GPSR")`` and is immediately selectable by
 ``Scenario(protocol=...)``, :func:`make_protocol` and the CLI.
 ``PROTOCOLS`` remains as a read-only mapping alias over that namespace.
+A protocol's module is imported when the protocol is first resolved or
+imported from this package, so a run loads only the protocol it uses.
 """
 
-from repro.core.registry import RegistryView, register, resolve
-from repro.routing.audit import RoutingAudit, audit_all, audit_destination, next_hop_map
-from repro.routing.base import RoutingProtocol
-from repro.routing.table import RouteEntry, RouteTable
-from repro.routing.aodv import Aodv
-from repro.routing.olsr import Olsr
-from repro.routing.dymo import Dymo
-from repro.routing.dsdv import Dsdv
-from repro.routing.flooding import Flooding
+from __future__ import annotations
 
-register("routing", "AODV")(Aodv)
-register("routing", "OLSR")(Olsr)
-register("routing", "DYMO")(Dymo)
-register("routing", "DSDV")(Dsdv)
-register("routing", "FLOODING")(Flooding)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+from repro.core.registry import RegistryView, resolve
+
+if TYPE_CHECKING:
+    from repro.routing.base import RoutingProtocol
 
 #: Read-only mapping alias over the registry namespace (kept for callers
 #: that iterate or index protocols by name; late registrations appear here
@@ -54,19 +50,20 @@ def make_protocol(name: str, node, rng, **kwargs) -> RoutingProtocol:
     return resolve("routing", name)(node, rng, **kwargs)
 
 
-__all__ = [
-    "RoutingProtocol",
-    "RouteTable",
-    "RouteEntry",
-    "RoutingAudit",
-    "audit_all",
-    "audit_destination",
-    "next_hop_map",
-    "Aodv",
-    "Olsr",
-    "Dymo",
-    "Dsdv",
-    "Flooding",
-    "PROTOCOLS",
-    "make_protocol",
-]
+_EXPORTS = {
+    "RoutingProtocol": "repro.routing.base:RoutingProtocol",
+    "RouteTable": "repro.routing.table:RouteTable",
+    "RouteEntry": "repro.routing.table:RouteEntry",
+    "RoutingAudit": "repro.routing.audit:RoutingAudit",
+    "audit_all": "repro.routing.audit:audit_all",
+    "audit_destination": "repro.routing.audit:audit_destination",
+    "next_hop_map": "repro.routing.audit:next_hop_map",
+    "Aodv": "repro.routing.aodv:Aodv",
+    "Olsr": "repro.routing.olsr:Olsr",
+    "Dymo": "repro.routing.dymo:Dymo",
+    "Dsdv": "repro.routing.dsdv:Dsdv",
+    "Flooding": "repro.routing.flooding:Flooding",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [*_EXPORTS, "PROTOCOLS", "make_protocol"]

@@ -64,6 +64,13 @@ class AodvConfig:
     ttl_increment: int = 2
     ttl_threshold: int = 7
 
+    def __post_init__(self) -> None:
+        if self.ttl_increment < 1:
+            # The expanding ring would never pass ttl_threshold.
+            raise ValueError(
+                f"ttl_increment must be >= 1, got {self.ttl_increment}"
+            )
+
     @property
     def net_traversal_time_s(self) -> float:
         """Worst-case round trip across the network (RFC 3561 s10)."""

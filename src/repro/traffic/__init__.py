@@ -2,21 +2,33 @@
 
 Table I's CBR generator is the default entry of the ``traffic`` registry
 namespace; a Poisson on/off source ships alongside it, and third-party
-generators register with the same decorator (see
+generators register with ``@register("traffic", name)`` (see
 :mod:`repro.core.registry`).  A factory receives the originating node, the
 destination, the scenario and a dedicated RNG stream, and returns a
 started-able :class:`~repro.traffic.base.TrafficSource`;
 ``Scenario.traffic_options`` is forwarded as extra keyword arguments.
 """
 
-from repro.core.registry import register
-from repro.traffic.base import TrafficSource
-from repro.traffic.cbr import CbrSource
-from repro.traffic.poisson import PoissonOnOffSource
-from repro.traffic.sink import Sink
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.traffic.cbr import CbrSource
+    from repro.traffic.poisson import PoissonOnOffSource
+
+_EXPORTS = {
+    "CbrSource": "repro.traffic.cbr:CbrSource",
+    "PoissonOnOffSource": "repro.traffic.poisson:PoissonOnOffSource",
+    "Sink": "repro.traffic.sink:Sink",
+    "TrafficSource": "repro.traffic.base:TrafficSource",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)
 
 
-@register("traffic", "cbr")
 def _make_cbr(node, dst, *, scenario, flow_id, rng, **options) -> CbrSource:
     """Table I's constant-bit-rate source, shaped by the scenario's
     ``cbr_rate_pps``/``cbr_size_bytes`` knobs and traffic window.
@@ -35,6 +47,8 @@ def _make_cbr(node, dst, *, scenario, flow_id, rng, **options) -> CbrSource:
         rng=rng,
     )
     kwargs.update(options)  # traffic_options may override any default
+    from repro.traffic.cbr import CbrSource
+
     return CbrSource(node, dst, **kwargs)
 
 
@@ -43,7 +57,6 @@ def _make_cbr(node, dst, *, scenario, flow_id, rng, **options) -> CbrSource:
 _make_cbr.rng_stream_prefix = "cbr"
 
 
-@register("traffic", "poisson")
 def _make_poisson(
     node, dst, *, scenario, flow_id, rng, **options
 ) -> PoissonOnOffSource:
@@ -58,12 +71,6 @@ def _make_poisson(
         rng=rng,
     )
     kwargs.update(options)  # traffic_options may override any default
+    from repro.traffic.poisson import PoissonOnOffSource
+
     return PoissonOnOffSource(node, dst, **kwargs)
-
-
-__all__ = [
-    "CbrSource",
-    "PoissonOnOffSource",
-    "Sink",
-    "TrafficSource",
-]

@@ -1,6 +1,9 @@
 """Component-registry tests: registration, lookup, views, dispatch hygiene."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +134,30 @@ def test_describe_points_at_implementations():
     described = registry.describe("routing")
     assert described["AODV"].startswith("repro.routing.aodv:")
     assert set(described) == set(registry.known("routing"))
+    # Every declared path names the object it resolves to, so the table
+    # of built-ins cannot drift from the code.
+    for kind in registry.KINDS:
+        for name, path in registry.describe(kind).items():
+            obj = resolve(kind, name)
+            assert path == f"{obj.__module__}:{obj.__qualname__}", (kind, name)
+
+
+def test_resolving_one_builtin_imports_only_its_module():
+    code = (
+        "import sys\n"
+        "from repro.core import registry\n"
+        "registry.known('routing'), registry.describe('routing')\n"
+        "print('repro.routing' in sys.modules)\n"
+        "registry.resolve('routing', 'olsr')\n"
+        "print('repro.routing.olsr' in sys.modules, "
+        "'repro.routing.dsdv' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC_CORE.parent.parent)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.split() == ["False", "True", "False"]
 
 
 # -- RegistryView (the PROTOCOLS alias) ---------------------------------------

@@ -11,6 +11,7 @@ on every Python version.
 """
 
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -151,29 +152,59 @@ def test_rng_streams_spawn_still_derives_distinct_children():
     assert not np.array_equal(*draws)
 
 
+#: Modules a default (AODV, single-lane, CBR) trial never runs: the other
+#: protocols, the routing audit, the journal, the other CA and mobility
+#: models, Poisson traffic, the trace writer and the analysis metrics.
+_UNUSED_BY_ONE_TRIAL = sorted(
+    f"repro.{name}" for name in (
+        "routing.olsr", "routing.dymo", "routing.dsdv", "routing.flooding",
+        "routing.audit", "core.journal", "ca.multilane", "ca.intersection",
+        "ca.history", "mobility.freeway", "mobility.random_waypoint",
+        "traffic.poisson", "metrics.tracefile", "metrics.delay",
+        "metrics.goodput", "metrics.overhead", "metrics.pdr",
+        "metrics.resilience",
+    )
+)
+
+
 def test_one_trial_loads_no_queue_machinery():
-    """Resolving a scenario's backend name no longer imports the
-    claim-file queue (and ``multiprocessing`` with it), and nothing but
-    a first stream imports ``numpy.random`` (a campaign's scheduler
-    draws none)."""
+    """A process imports only the components it uses.  The set-up
+    imports (as perfbench times them) and ``Scenario()`` load none of
+    the unused modules, nor ``hashlib`` (the journal's); resolving a
+    scenario's backend name imports neither the claim-file queue nor
+    ``multiprocessing``; nothing but a first stream imports
+    ``numpy.random`` (a campaign's scheduler draws none), which itself
+    brings ``hashlib`` in, so the check after the trial leaves it out."""
     code = (
-        "import sys\n"
+        "import json, sys\n"
+        "unused = set(json.loads(sys.argv[1]))\n"
+        "def loaded(names):\n"
+        "    print(json.dumps(sorted(set(names) & set(sys.modules))))\n"
+        "import repro.core.simulation, repro.core.runner\n"
+        "from repro.kernels import resolve_backend\n"
+        "resolve_backend('auto')\n"
+        "loaded(unused | {'hashlib'})\n"
         "from repro.core.config import Scenario\n"
         "from repro.core.simulation import CavenetSimulation\n"
         "Scenario()\n"
-        "print('numpy.random' in sys.modules)\n"
+        "loaded(unused | {'hashlib', 'numpy.random'})\n"
         "CavenetSimulation(Scenario(num_nodes=10, road_length_m=1000.0, "
         "sim_time_s=2.0, senders=(1, 2), traffic_start_s=0.5, "
         "traffic_stop_s=1.5)).run()\n"
-        "print(sorted({'repro.core.distq', 'multiprocessing'} "
-        "& set(sys.modules)))\n"
+        "loaded(unused | {'repro.core.distq', 'multiprocessing'})\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code, json.dumps(_UNUSED_BY_ONE_TRIAL)],
+        env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert proc.stdout.split() == ["False", "[]"]
+    after_setup, after_scenario, after_trial = map(
+        json.loads, proc.stdout.splitlines()
+    )
+    assert after_setup == []
+    assert after_scenario == []
+    assert after_trial == []
 
 
 class _PickledBeforeSlots:

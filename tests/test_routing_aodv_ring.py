@@ -44,6 +44,12 @@ class TestConfigSchedule:
         config = AodvConfig(expanding_ring=True)
         assert config.rreq_timeout_s(0) < config.net_traversal_time_s
 
+    @pytest.mark.parametrize("increment", [0, -1])
+    def test_non_positive_ttl_increment_rejected(self, increment):
+        # The ring would never reach ttl_threshold: reject, don't hang.
+        with pytest.raises(ValueError, match="ttl_increment"):
+            AodvConfig(expanding_ring=True, ttl_increment=increment)
+
 
 class TestRingBehaviour:
     def test_near_destination_found_with_tiny_flood(self):
