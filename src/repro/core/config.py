@@ -345,12 +345,28 @@ class Scenario:
         ``object.__setattr__``-style mutation) and adds cross-module ones
         that would otherwise only surface inside a worker process minutes
         into a campaign — most importantly that ``protocol`` actually
-        names a registered routing protocol.  Raises
-        :class:`~repro.util.errors.ConfigError`; returns ``self`` so entry
-        points can chain ``scenario.validate()``.
+        names a registered routing protocol that accepts
+        ``protocol_options``, and that the tech profile accepts
+        ``tech_options``.  Raises :class:`~repro.util.errors.ConfigError`;
+        returns ``self`` so entry points can chain
+        ``scenario.validate()``.
         """
+        import inspect
+
+        from repro.core.simulation import CavenetSimulation
+
         self.__post_init__()
-        registry.normalize("routing", self.protocol)
+        protocol = registry.resolve("routing", self.protocol)
+        try:
+            # A protocol is built as ``protocol(node, rng, **options)``.
+            inspect.signature(protocol).bind(
+                None, None, **self.protocol_options
+            )
+        except TypeError as exc:
+            raise ConfigError(
+                f"protocol {self.protocol!r} has bad protocol_options: {exc}"
+            ) from None
+        CavenetSimulation(self).build_tech()  # deterministic, stream-free
         if self.mobility_warmup_steps < 0:
             raise ConfigError(
                 "mobility_warmup_steps must be >= 0, got "

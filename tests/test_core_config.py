@@ -103,3 +103,23 @@ class TestValidation:
     def test_minimum_nodes(self):
         with pytest.raises(ValueError):
             Scenario(num_nodes=1, senders=())
+
+
+@pytest.mark.parametrize(
+    "options, bad_key",
+    [
+        ({"protocol_options": {"no_such_option": 1}}, "no_such_option"),
+        ({"protocol": "OLSR", "protocol_options": {"hello_s": 1}}, "hello_s"),
+        ({"tech_options": {"bogus": 1}}, "bogus"),
+    ],
+    ids=["protocol-AODV", "protocol-OLSR", "tech"],
+)
+def test_validate_rejects_unknown_option_keys(options, bad_key):
+    """A bad option key fails in the parent, before any worker runs."""
+    from repro.util.errors import ConfigError
+
+    scenario = Scenario(**options)
+    with pytest.raises(ConfigError, match=bad_key):
+        scenario.validate()
+    ok = Scenario(protocol_options={"config": None}, tech_options={})
+    assert ok.validate() is ok
