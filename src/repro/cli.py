@@ -226,15 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inspect = journal_commands.add_parser(
         "inspect",
-        help="print the journal's fingerprint, trial/lease counts, "
-        "open lease owners and quarantined trials; exits 3 "
-        "when quarantined trials exist",
+        help="print the journal's fingerprint, trial counts, "
+        "quarantined trials and the open claims in the campaign's "
+        "queue directory; exits 3 when quarantined trials exist",
     )
     inspect.add_argument("path", help="journal file to inspect")
     compact = journal_commands.add_parser(
         "compact",
-        help="drop superseded lease/heartbeat records and rewrite the "
-        "journal atomically (resume state is unchanged)",
+        help="drop superseded trial records and legacy lease/heartbeat "
+        "lines and rewrite the journal atomically (resume state is "
+        "unchanged)",
     )
     compact.add_argument("path", help="journal file to compact")
     compact.add_argument(
@@ -853,26 +854,13 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         print(f"  trials ok       : {stats.trials_ok}")
         print(f"  trials failed   : {stats.trials_failed}")
         print(f"  distinct done   : {stats.distinct_completed}")
-        print(f"  leases          : {stats.leases} "
-              f"(live {stats.live_leases}, expired {stats.expired_leases})")
-        print(f"  heartbeats      : {stats.heartbeats}")
         print(f"  events          : {stats.events}")
         print(f"  quarantined     : {stats.quarantined}")
         print(f"  superseded      : {stats.superseded}")
         torn = "yes (tolerated on resume)" if stats.torn_tail else "no"
         print(f"torn tail         : {torn}")
-        if stats.open_leases:
-            print("open leases:")
-            for key_id, lease in sorted(stats.open_leases.items()):
-                parts = [f"owner {lease.owner}", f"attempt {lease.attempt}"]
-                if lease.host is not None:
-                    parts.append(f"host {lease.host}")
-                if lease.pid is not None:
-                    parts.append(f"pid {lease.pid}")
-                if lease.token is not None:
-                    parts.append(f"fencing token {lease.token}")
-                state = "expired" if lease.expired() else "live"
-                print(f"  {key_id}: {', '.join(parts)} ({state})")
+        if stats.queue_dir is not None:
+            _print_open_claims(stats.queue_dir)
         if stats.parked:
             print("quarantined trials (remove the quarantine record or "
                   "start a fresh journal to re-run them):")
@@ -891,6 +879,21 @@ def _cmd_journal(args: argparse.Namespace) -> int:
     print(f"compacted {args.path} -> {target}: "
           f"{before:,} -> {after:,} bytes ({saved:,} saved)")
     return 0
+
+
+def _print_open_claims(queue_dir: str) -> None:
+    """List the claims still open in a campaign's queue directory."""
+    if not os.path.isdir(queue_dir):
+        print(f"queue dir         : {queue_dir} (removed)")
+        return
+    from repro.core.distq import open_claims
+
+    claims = open_claims(queue_dir)
+    print(f"queue dir         : {queue_dir} ({len(claims)} open claims)")
+    for key_id, claim in sorted(claims.items()):
+        print(f"  {key_id}: owner {claim.owner}, attempt {claim.attempt}, "
+              f"host {claim.host}, pid {claim.pid}, "
+              f"fencing token {claim.token}")
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:

@@ -27,7 +27,7 @@ token: the commit re-reads the claim and refuses (``StaleLeaseError``)
 unless the claim still names this worker and this token.  A worker that
 was paused (laptop sleep, SIGSTOP, an NFS stall) past its lease and
 resumed after a reclaim therefore cannot clobber the reclaimer — its
-late commit is rejected and recorded, never applied.
+late commit is rejected, never applied.
 
 **Clock-skew-immune expiry.**  Hosts sharing an NFS export do not share
 a clock; a reclaimer that compared another host's ``time.time()``
@@ -51,7 +51,9 @@ release the claim with the attempt counter bumped and are bounded by
 ``max_attempts`` like everywhere else — and so are trials that overrun
 ``trial_timeout_s`` and results the scheduler cannot unpickle.
 
-Layout of a queue directory::
+Layout of a queue directory — the only live record of who holds which
+trial (``repro journal inspect`` reads the claims here, through the
+directory the campaign journal names)::
 
     queue/
       manifest.json        campaign fingerprint + settings (scheduler-written)
@@ -62,7 +64,6 @@ Layout of a queue directory::
       hb/<id>              heartbeat file: owner, token, seq (atomic rename)
       deaths/<id>.<h>      one marker per distinct owner that died holding <id>
       crash/<id>.g<N>.tb   JSON record of each failed attempt (traceback incl.)
-      stale/<id>.g<N>      rejected stale commits (evidence, not state)
       results/<id>.result  pickled fenced result (atomic rename commit)
       quarantine/<id>.json parked poison trials
 
@@ -85,15 +86,15 @@ Workers (:func:`run_worker_loop`, the ``repro worker`` CLI) need nothing
 but this directory; the scheduling side
 (:class:`DirQueueBackend`, registered as ``backend="dir-queue"``, and
 as ``backend="local-supervised"`` over a private temporary directory)
-is one more peer that also spawns local workers, mirrors observed
-claims into the campaign journal as lease records, journals each
-result exactly once, and degrades down the ladder (``dir-queue →
-local-serial``) when the queue cannot run: a shared directory that goes
-read-only or whose stat latency spikes hands the rest to a private
-queue directory (or to serial if none can be made); workers dying
-faster than the respawn budget, workers that cannot be spawned, no
-``multiprocessing`` context, or specs that do not pickle go straight
-to serial.
+is one more peer that also spawns local workers, records its queue
+directory in the campaign journal, journals each result exactly once,
+and degrades down the ladder (``dir-queue → local-serial``) when the
+queue cannot run: a shared directory that goes read-only hands the rest
+to a private queue directory (or to serial if none can be made);
+workers dying faster than the respawn budget (workers that die before
+they claim anything are charged to no trial), workers that cannot be
+spawned, no ``multiprocessing`` context, or specs that do not pickle go
+straight to serial.
 
 Like every backend, ``dir-queue`` must be bit-identical to
 ``local-serial``: trials are pure functions of their spec, so *who* runs
@@ -120,14 +121,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import chaos as _chaos
 from repro.core.backend import ExecutionBackend, LocalSerialBackend
-from repro.core.journal import trial_key_id
+from repro.core.journal import QUEUE_EVENT, trial_key_id
 from repro.core.runner import TrialOutcome, TrialRunner, TrialSpec
 from repro.util.errors import ConfigError, StaleLeaseError
 
 #: Subdirectories of a queue root, created by :meth:`DirQueue.setup`.
 _SUBDIRS = (
-    "tasks", "claims", "gen", "hb", "deaths", "crash", "stale",
-    "results", "quarantine",
+    "tasks", "claims", "gen", "hb", "deaths", "crash", "results",
+    "quarantine",
 )
 
 #: How many distinct dead workers park a trial, absent explicit config.
@@ -136,11 +137,6 @@ DEFAULT_QUARANTINE_AFTER = 3
 #: How many worker respawns the scheduling side pays for before deciding
 #: the queue itself is the problem and degrading, per initial worker.
 RESPAWN_BUDGET_PER_WORKER = 3
-
-#: Parent-side health probe: consecutive slow ``stat`` calls on the
-#: queue root (each slower than the latency budget) that trip a degrade.
-STAT_LATENCY_BUDGET_S = 0.5
-STAT_LATENCY_STRIKES = 3
 
 #: How long the scheduler sleeps after a pass that changed nothing.
 POLL_INTERVAL_S = 0.02
@@ -152,11 +148,11 @@ POLL_INTERVAL_S = 0.02
 TIMED_OUT_EXIT = 124
 
 
-# -- durability + clock hooks -------------------------------------------------
+# -- durability hooks ---------------------------------------------------------
 #
-# Module-level indirection so the chaos filesystem shim (tests, the
-# distq chaos smoke) can monkeypatch durability and health primitives in
-# the *parent* and have forked workers inherit the lie.  The exactly-once
+# Module-level indirection so the chaos filesystem shim (tests) can
+# monkeypatch the durability primitives in the *parent* and have forked
+# workers inherit the lie.  The exactly-once
 # guarantees must come from O_EXCL and rename alone; fsync only narrows
 # the power-loss window, so a lying fsync may cost durability, never
 # correctness — which is precisely what the shim exists to prove.
@@ -177,10 +173,6 @@ def _fsync_dir(path: str) -> None:
         return  # fs refuses directory fsync (some FUSE/NFS mounts)
     finally:
         os.close(fd)
-
-
-def _stat(path: str):
-    return os.stat(path)
 
 
 def _context():
@@ -762,8 +754,8 @@ class DirQueue:
         The claim is re-read at commit time: if it no longer names
         ``owner`` with ``token``, this worker's lease was reclaimed while
         it computed (or while it was paused) and the commit raises
-        :class:`StaleLeaseError` after leaving a ``stale/`` marker as
-        evidence.  The check-then-rename window is not zero, but a race
+        :class:`StaleLeaseError`, which carries both tokens.  The
+        check-then-rename window is not zero, but a race
         through it is harmless by construction: trials are deterministic,
         so any two committed results for one trial carry identical
         values, and the journal records the trial exactly once either
@@ -772,11 +764,6 @@ class DirQueue:
         claim = self.read_claim(tid)
         current = None if claim is None else claim.token
         if claim is None or claim.owner != owner or claim.token != token:
-            _atomic_write(
-                self._path("stale", f"{tid}.g{token}"),
-                owner.encode("utf-8"),
-                fsync=False,
-            )
             raise StaleLeaseError(
                 f"lease for task {tid} was reclaimed (held token {token}, "
                 f"claim now {current!r}); dropping the late commit",
@@ -837,18 +824,36 @@ class DirQueue:
             if not name.startswith(".")  # in-flight atomic-write temps
         }
 
-    def stale_markers(self) -> List[str]:
-        try:
-            return sorted(os.listdir(self._dir("stale")))
-        except OSError:
-            return []
-
     def drained(self) -> bool:
         """Every enqueued trial has a result or a quarantine decision."""
         ids = self.task_ids()
         return bool(ids) and all(
             self.has_result(tid) or self.has_quarantine(tid) for tid in ids
         )
+
+
+def open_claims(root: str) -> Dict[str, ClaimState]:
+    """The claims still held in the queue at ``root``, by trial.
+
+    A claim is open while it names an owner and its trial has neither a
+    result nor a quarantine decision; this is what ``repro journal
+    inspect`` lists.  Trials are named by their key identity
+    (:func:`~repro.core.journal.trial_key_id`) when the task file reads
+    back, else as ``task <id>``.
+    """
+    queue = DirQueue(root)
+    settled = queue.ids_in("results") | queue.ids_in("quarantine")
+    found: Dict[str, ClaimState] = {}
+    for tid in sorted(queue.ids_in("claims") - settled):
+        claim = queue.read_claim(tid)
+        if claim is None or claim is CLAIM_IN_FLUX or claim.released:
+            continue
+        try:
+            name = trial_key_id(queue.read_task(tid)["key"])
+        except Exception:  # missing, or its trial cannot be imported here
+            name = f"task {tid}"
+        found[name] = claim
+    return found
 
 
 # -- the worker side ----------------------------------------------------------
@@ -1076,12 +1081,13 @@ class DirQueueBackend(ExecutionBackend):
     foreign ``repro worker`` processes on other hosts may join a shared
     directory), then *observes*: results and quarantine decisions are
     folded into outcomes and journalled exactly once, observed claims
-    are mirrored into the journal as lease records carrying
-    host/pid/fencing-token, claims of workers it saw exit are reclaimed
-    at once, and a health probe degrades the rest of the campaign when
-    the queue stops cooperating (see :meth:`_degrade`): a directory that
-    goes unwritable (read-only remount) or whose stat latency is over
-    budget, or workers dying faster than the respawn budget covers.
+    are reported to telemetry (the claims themselves stay in the queue
+    directory, which the journal names in one ``queue`` event per run),
+    claims of workers it saw exit are reclaimed at once, and a health
+    probe degrades the rest of the campaign when the queue stops
+    cooperating (see :meth:`_degrade`): a directory that goes
+    unwritable (read-only remount), or workers dying faster than the
+    respawn budget covers.
     """
 
     name = "dir-queue"
@@ -1156,6 +1162,8 @@ class DirQueueBackend(ExecutionBackend):
                 tid = queue.enqueue(_task_payload(runner, index, spec))
                 index_of.setdefault(tid, []).append(index)
             self._plant_ghost_claims(queue, specs)
+            if journal is not None:
+                journal.record_campaign_event(QUEUE_EVENT, queue.root)
         except OSError as exc:
             return self._degrade(
                 specs, [None] * len(specs), journal,
@@ -1189,12 +1197,10 @@ class DirQueueBackend(ExecutionBackend):
         respawns_left = RESPAWN_BUDGET_PER_WORKER * runner.max_workers
         seen_results: set = set()
         seen_quarantine: set = set()
-        seen_stale: set = set()
-        lease_mirror: Dict[str, Tuple[str, int]] = {}
+        claims_seen: Dict[str, Tuple[str, int]] = {}
         # Our workers that settled a timed-out attempt: each ends its own
         # process right after (TIMED_OUT_EXIT).
         exiting: set = set()
-        slow_stats = 0
         degrade_reason = None
         directory_failed = False
 
@@ -1231,26 +1237,10 @@ class DirQueueBackend(ExecutionBackend):
 
         try:
             while any(outcome is None for outcome in results):
-                # Health probe 1: stat latency on the shared directory.
-                before = time.perf_counter()
-                try:
-                    _stat(queue.root)
-                    writable = self._probe_writable(queue.root)
-                except OSError:
-                    writable = False
-                latency = time.perf_counter() - before
-                slow_stats = (
-                    slow_stats + 1
-                    if latency > STAT_LATENCY_BUDGET_S
-                    else 0
-                )
-                if slow_stats >= STAT_LATENCY_STRIKES:
-                    degrade_reason = (
-                        f"stat latency over budget ({latency:.3f}s)"
-                    )
-                    directory_failed = True
-                    break
-                if not writable:
+                # Health probe 1: a queue dir nobody can write to any more
+                # (read-only remount) would leave every worker unable to
+                # claim, and this loop waiting forever.
+                if not self._probe_writable(queue.root):
                     degrade_reason = "queue dir no longer writable"
                     directory_failed = True
                     break
@@ -1265,8 +1255,8 @@ class DirQueueBackend(ExecutionBackend):
                 crashed = sum(reap(identity) for identity in dead)
 
                 # Results are listed before the claims are read: a claim
-                # that committed a listed result is final by then, so the
-                # mirror journals it before the trial record lands.
+                # that committed a listed result is final by then, so it
+                # is reported before the trial is settled.
                 ready = queue.ids_in("results")
                 parked = queue.ids_in("quarantine")
                 open_tids = {
@@ -1281,19 +1271,7 @@ class DirQueueBackend(ExecutionBackend):
                     queue, claims, specs, index_of, workers, corpses,
                     observer, me,
                 )
-                self._mirror_leases(
-                    queue, claims, specs, index_of, journal, lease_mirror
-                )
-                for marker in queue.stale_markers():
-                    if marker in seen_stale:
-                        continue
-                    seen_stale.add(marker)
-                    tid = marker.split(".g", 1)[0]
-                    indices = index_of.get(tid)
-                    key = specs[indices[0]].key if indices else None
-                    runner._record_event(
-                        "stale-commit-rejected", key=key, detail=marker
-                    )
+                self._report_claims(claims, specs, index_of, claims_seen)
 
                 if self._collect(
                     queue, specs, index_of, results, journal,
@@ -1390,16 +1368,13 @@ class DirQueueBackend(ExecutionBackend):
                 )
         return reclaimed
 
-    def _mirror_leases(
-        self, queue, claims, specs, index_of, journal, lease_mirror
-    ) -> None:
-        """Reflect observed claims into the journal + telemetry.
+    def _report_claims(self, claims, specs, index_of, claims_seen) -> None:
+        """Report each newly observed ``(owner, token)`` to telemetry.
 
-        The journal is the campaign's single durable narrative; foreign
-        workers cannot append to it (it is not shared), so the scheduler
-        transcribes what it sees: each new ``(owner, token)`` pair
-        becomes a lease record carrying host, pid and fencing token —
-        which is exactly what ``repro journal inspect`` then prints.
+        A trial's first observed claim is a ``claim-won`` event, every
+        later one a ``lease-reclaimed`` event.  The claims themselves
+        stay in the queue directory, the only live record of who holds
+        what (``repro journal inspect`` reads them there).
         """
         runner = self.runner
         for tid, claim in claims.items():
@@ -1410,22 +1385,11 @@ class DirQueueBackend(ExecutionBackend):
                 or not claim.owner
             ):
                 continue
-            signature = (claim.owner, claim.token)
-            previous = lease_mirror.get(tid)
-            if previous == signature:
+            previous = claims_seen.get(tid)
+            if previous == (claim.owner, claim.token):
                 continue
-            lease_mirror[tid] = signature
+            claims_seen[tid] = (claim.owner, claim.token)
             key = specs[index_of[tid][0]].key
-            if journal is not None:
-                journal.record_lease(
-                    key,
-                    claim.owner,
-                    claim.attempt,
-                    queue.ttl_s,
-                    host=claim.host,
-                    pid=claim.pid,
-                    token=claim.token,
-                )
             if previous is None:
                 runner._record_event(
                     "claim-won", key=key,

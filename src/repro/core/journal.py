@@ -52,16 +52,22 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.util.errors import ConfigError, JournalCorruptError
 
 #: Journal format version.  Bump on any incompatible line-format change.
-#: Lease, event and quarantine records (the queue backends' claim mirror,
-#: degradations and poison-trial parking) ride inside schema 1: older
-#: journals simply contain none of them, and the completed-trial reader
-#: skips any kind it is not aggregating.
+#: Event and quarantine records (degradations, the campaign's queue
+#: directory, poison-trial parking) ride inside schema 1: older journals
+#: simply contain none of them, and the completed-trial reader skips any
+#: kind it is not aggregating.
 SCHEMA_VERSION = 1
 
 #: Record kinds a schema-1 journal may contain after the header.
-#: ``heartbeat`` is no longer written; journals from before the queue
-#: backends merged still carry it, and every reader skips it.
+#: ``lease`` and ``heartbeat`` are no longer written (the queue directory
+#: is the only record of claims); older journals still carry them, every
+#: reader skips them and :func:`compact_journal` drops them.
 RECORD_KINDS = ("trial", "lease", "heartbeat", "event", "quarantine")
+
+#: The ``event`` a queue backend records once per campaign run, with the
+#: queue directory as its detail: where ``repro journal inspect`` finds
+#: the campaign's open claims.
+QUEUE_EVENT = "queue"
 
 
 def fsync_directory(path: str) -> None:
@@ -149,41 +155,6 @@ class JournalEntry:
 
 
 @dataclasses.dataclass(frozen=True)
-class LeaseRecord:
-    """The latest lease on one trial, as read back from a journal.
-
-    Leases are the queue backends' transcript of the claims they
-    observed: who held the trial, under which fencing token, until
-    roughly when (``deadline_unix``, wall clock, advisory).  They are
-    for ``repro journal inspect``; results only ever come from ``trial``
-    records, so a lease never changes what a resume computes.
-
-    Attributes:
-        key_id: canonical trial-key identity (:func:`trial_key_id`).
-        owner: opaque owner id (host/pid/worker of the claimant).
-        attempt: 1-based attempt number this lease covers.
-        deadline_unix: wall-clock expiry (``time.time()`` seconds).
-        host: claimant hostname, when the backend knows it (dir-queue).
-        pid: claimant process id, when known.
-        token: monotonic fencing token of the claim generation, when the
-            backend fences commits (dir-queue).  A larger token always
-            supersedes a smaller one for the same key.
-    """
-
-    key_id: str
-    owner: str
-    attempt: int
-    deadline_unix: float
-    host: Optional[str] = None
-    pid: Optional[int] = None
-    token: Optional[int] = None
-
-    def expired(self, now: Optional[float] = None) -> bool:
-        """Whether the lease has lapsed (``now`` defaults to wall clock)."""
-        return (time.time() if now is None else now) >= self.deadline_unix
-
-
-@dataclasses.dataclass(frozen=True)
 class QuarantineRecord:
     """One poison trial parked by the dir-queue backend.
 
@@ -242,7 +213,7 @@ class TrialJournal:
             _header, records, _torn = scan_records(
                 self.path, self.fingerprint, load_values=True
             )
-            self._completed, self._quarantined, _leases = _settle(records)
+            self._completed, self._quarantined = _settle(records)
             self._file = open(self.path, "ab")
         else:
             self._file = open(self.path, "wb")
@@ -323,50 +294,6 @@ class TrialJournal:
 
     # -- supervision records -------------------------------------------------
 
-    def record_lease(
-        self,
-        key: Any,
-        owner: str,
-        attempt: int,
-        ttl_s: float,
-        host: Optional[str] = None,
-        pid: Optional[int] = None,
-        token: Optional[int] = None,
-    ) -> LeaseRecord:
-        """Record one observed claim of a trial by ``owner``.
-
-        Appends an append-only ``lease`` record — later records supersede
-        earlier ones for the same key, so a first claim and a reclaim are
-        the same operation with a new owner and fencing token.
-        ``host``/``pid``/``token`` carry the claimant identity when
-        known.  Returns the resulting :class:`LeaseRecord`.
-        """
-        deadline = time.time() + float(ttl_s)
-        key_id = trial_key_id(key)
-        line: Dict[str, Any] = {
-            "kind": "lease",
-            "key": key_id,
-            "owner": str(owner),
-            "attempt": int(attempt),
-            "deadline": deadline,
-        }
-        if host is not None:
-            line["host"] = str(host)
-        if pid is not None:
-            line["pid"] = int(pid)
-        if token is not None:
-            line["token"] = int(token)
-        self._write_line(line)
-        return LeaseRecord(
-            key_id=key_id,
-            owner=str(owner),
-            attempt=int(attempt),
-            deadline_unix=deadline,
-            host=None if host is None else str(host),
-            pid=None if pid is None else int(pid),
-            token=None if token is None else int(token),
-        )
-
     def record_quarantine(
         self,
         key: Any,
@@ -376,8 +303,7 @@ class TrialJournal:
     ) -> QuarantineRecord:
         """Durably park a poison trial that keeps killing workers.
 
-        Releases any open lease on the key (the trial will not be run
-        again) and keeps :attr:`quarantined` current.  The record is
+        Keeps :attr:`quarantined` current.  The record is
         fsync-ed like a trial record: losing a quarantine decision to a
         power cut would put the poison trial straight back on the queue.
         """
@@ -406,7 +332,8 @@ class TrialJournal:
 
         These lines are what makes an after-the-fact ``repro journal
         inspect`` able to say *why* a campaign finished on a lesser
-        backend instead of crashing.
+        backend instead of crashing, and where its queue directory
+        (:data:`QUEUE_EVENT`) holds the claims still open.
         """
         self._write_line(
             {
@@ -568,42 +495,24 @@ def scan_records(
 
 
 def _settle(records) -> Tuple[
-    Dict[str, JournalEntry],
-    Dict[str, QuarantineRecord],
-    Dict[str, LeaseRecord],
+    Dict[str, JournalEntry], Dict[str, QuarantineRecord]
 ]:
     """Where a record stream leaves each key, in one pass: ``(completed,
-    quarantined, live leases)`` by the rules of :func:`read_completed`,
-    :func:`read_quarantine` and :func:`read_lease_state`.  Completed
-    trials need records scanned with ``load_values``.
+    quarantined)`` by the rules of :func:`read_completed` and
+    :func:`read_quarantine`.  Completed trials need records scanned with
+    ``load_values``.
     """
     completed: Dict[str, JournalEntry] = {}
     parked: Dict[str, QuarantineRecord] = {}
-    leases: Dict[str, LeaseRecord] = {}
     for _raw, obj in records:
         kind = obj.get("kind")
-        if kind == "trial":
+        if kind == "trial" and obj.get("status") == "ok":
             key = obj["key"]
-            leases.pop(key, None)
-            if obj.get("status") == "ok":
-                parked.pop(key, None)
-                if "entry" in obj:
-                    completed[key] = obj["entry"]
-        elif kind == "lease":
-            pid = obj.get("pid")
-            token = obj.get("token")
-            leases[obj["key"]] = LeaseRecord(
-                key_id=obj["key"],
-                owner=str(obj.get("owner", "?")),
-                attempt=int(obj.get("attempt", 1)),
-                deadline_unix=float(obj.get("deadline", 0.0)),
-                host=obj.get("host"),
-                pid=None if pid is None else int(pid),
-                token=None if token is None else int(token),
-            )
+            parked.pop(key, None)
+            if "entry" in obj:
+                completed[key] = obj["entry"]
         elif kind == "quarantine":
             key = obj["key"]
-            leases.pop(key, None)
             parked[key] = QuarantineRecord(
                 key_id=key,
                 owners=tuple(
@@ -612,20 +521,7 @@ def _settle(records) -> Tuple[
                 attempts=int(obj.get("attempts", 1)),
                 traceback=str(obj.get("traceback", "")),
             )
-    return completed, parked, leases
-
-
-def read_lease_state(
-    path: str, expect_fingerprint: Optional[str] = None
-) -> Dict[str, LeaseRecord]:
-    """Live leases of a journal: latest lease per *incomplete* trial key.
-
-    A ``trial`` or ``quarantine`` record releases the key's lease; later
-    lease records supersede earlier ones.  What remains is the set of
-    claims still open when the journal was last written — what ``repro
-    journal inspect`` lists.
-    """
-    return _settle(scan_records(path, expect_fingerprint)[1])[2]
+    return completed, parked
 
 
 def read_quarantine(
@@ -652,19 +548,16 @@ class JournalStats:
         records: total records after the header (surviving lines).
         trials_ok / trials_failed: terminal trial records by status.
         distinct_completed: distinct keys with at least one ok record.
-        leases: lease records in the file (observed claims and reclaims).
-        live_leases: keys still holding an unreleased lease.
-        expired_leases: of those, how many are past their advisory deadline.
-        heartbeats: heartbeat records (only in journals written before
-            the queue backends merged; every one is superseded).
         events: campaign-event records (e.g. backend degradations).
-        quarantined: trials currently parked as poison (latest state).
-        superseded: records a :func:`compact_journal` pass would drop.
+        superseded: records a :func:`compact_journal` pass would drop
+            (older ``lease`` and ``heartbeat`` lines among them).
         torn_tail: whether the file ends in a torn (crash-residue) line.
-        open_leases: the live leases by key, as :func:`read_lease_state`
-            returns them.
+        quarantined: trials currently parked as poison (latest state).
         parked: the quarantined trials by key, as :func:`read_quarantine`
             returns them.
+        queue_dir: the queue directory of the campaign's last queue-backed
+            run (its :data:`QUEUE_EVENT`), where its open claims live;
+            ``None`` when no queue backend ran.
     """
 
     path: str
@@ -675,20 +568,14 @@ class JournalStats:
     trials_ok: int
     trials_failed: int
     distinct_completed: int
-    leases: int
-    live_leases: int
-    expired_leases: int
-    heartbeats: int
     events: int
     superseded: int
     torn_tail: bool
     quarantined: int = 0
-    open_leases: Dict[str, LeaseRecord] = dataclasses.field(
-        default_factory=dict
-    )
     parked: Dict[str, QuarantineRecord] = dataclasses.field(
         default_factory=dict
     )
+    queue_dir: Optional[str] = None
 
 
 def _partition_records(records):
@@ -696,19 +583,16 @@ def _partition_records(records):
 
     Keeps, in original order: the last ``ok`` trial record per key (or
     the last failure record for keys that never succeeded), the latest
-    lease per still-leased key, the latest quarantine per still-parked
-    key, and every ``event`` record.  Drops every heartbeat and
-    everything superseded.  Returns ``(kept_raw_lines, num_superseded,
+    quarantine per still-parked key, and every ``event`` record.  Drops
+    everything superseded, and every ``lease`` and ``heartbeat`` line
+    older journals carry.  Returns ``(kept_raw_lines, num_superseded,
     aggregates)`` where aggregates back :class:`JournalStats`.
     """
     last_trial: Dict[str, int] = {}  # key -> index of record to keep
     key_succeeded: Dict[str, bool] = {}
-    lease_latest: Dict[str, int] = {}
     quarantine_latest: Dict[str, int] = {}
-    counts = {
-        "trials_ok": 0, "trials_failed": 0, "leases": 0,
-        "heartbeats": 0, "events": 0,
-    }
+    events: List[int] = []
+    counts = {"trials_ok": 0, "trials_failed": 0, "queue_dir": None}
     for position, (_raw, obj) in enumerate(records):
         kind = obj.get("kind")
         if kind == "trial":
@@ -718,42 +602,33 @@ def _partition_records(records):
             if ok or not key_succeeded.get(key, False):
                 last_trial[key] = position
             key_succeeded[key] = key_succeeded.get(key, False) or ok
-            lease_latest.pop(key, None)  # trial record releases the lease
             if ok:
                 quarantine_latest.pop(key, None)  # success lifts quarantine
-        elif kind == "lease":
-            counts["leases"] += 1
-            lease_latest[obj["key"]] = position
-        elif kind == "heartbeat":
-            counts["heartbeats"] += 1
         elif kind == "event":
-            counts["events"] += 1
+            events.append(position)
+            if obj.get("event") == QUEUE_EVENT:
+                counts["queue_dir"] = obj.get("detail")
         elif kind == "quarantine":
-            key = obj["key"]
-            quarantine_latest[key] = position
-            lease_latest.pop(key, None)  # quarantine releases the lease
+            quarantine_latest[obj["key"]] = position
     keep = (
         set(last_trial.values())
-        | set(lease_latest.values())
         | set(quarantine_latest.values())
+        | set(events)
     )
     kept = [
-        raw
-        for position, (raw, obj) in enumerate(records)
-        if position in keep or obj.get("kind") == "event"
+        raw for position, (raw, _obj) in enumerate(records)
+        if position in keep
     ]
-    counts["distinct_completed"] = sum(
-        1 for succeeded in key_succeeded.values() if succeeded
-    )
+    counts["events"] = len(events)
+    counts["distinct_completed"] = sum(key_succeeded.values())
     return kept, len(records) - len(kept), counts
 
 
 def inspect_journal(path: str) -> JournalStats:
     """Summarise a journal file, read once, without loading trial values."""
     header, records, torn = scan_records(path)
-    kept, superseded, counts = _partition_records(records)
-    _completed, parked, live = _settle(records)
-    expired = sum(1 for lease in live.values() if lease.expired())
+    _kept, superseded, counts = _partition_records(records)
+    _completed, parked = _settle(records)
     return JournalStats(
         path=str(path),
         fingerprint=str(header.get("fingerprint", "?")),
@@ -763,16 +638,12 @@ def inspect_journal(path: str) -> JournalStats:
         trials_ok=counts["trials_ok"],
         trials_failed=counts["trials_failed"],
         distinct_completed=counts["distinct_completed"],
-        leases=counts["leases"],
-        live_leases=len(live),
-        expired_leases=expired,
-        heartbeats=counts["heartbeats"],
         events=counts["events"],
         superseded=superseded,
         torn_tail=torn,
         quarantined=len(parked),
-        open_leases=live,
         parked=parked,
+        queue_dir=counts["queue_dir"],
     )
 
 
@@ -781,13 +652,13 @@ def compact_journal(
 ) -> Tuple[int, int]:
     """Rewrite a journal without its superseded records, atomically.
 
-    Long campaigns append a lease record per observed claim (and old
-    journals a heartbeat stream per worker); none of that is needed once
-    the trials it tracked are complete.  Compaction keeps the header, the
-    terminal trial record per key, the latest lease per still-incomplete
-    key, and every event record — every surviving line byte-identical to
-    the original, so resuming from the compacted journal is exactly
-    resuming from the original.
+    Retried trials leave a failure record per attempt before the one
+    that counts, and older journals carry lease and heartbeat lines;
+    none of that is needed to resume.  Compaction keeps the header, the
+    terminal trial record per key, the latest quarantine per
+    still-parked key, and every event record — every surviving line
+    byte-identical to the original, so resuming from the compacted
+    journal is exactly resuming from the original.
 
     Writes to a temp file in the same directory, fsyncs, then
     ``os.replace``-es over ``output`` (default: in place) — a crash

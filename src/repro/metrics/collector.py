@@ -57,8 +57,8 @@ class CampaignEvent:
     Attributes:
         kind: event name — ``"claim-won"``, ``"lease-reclaimed"``,
             ``"lease-contended"``, ``"heartbeat-missed"``,
-            ``"worker-dead"``, ``"stale-commit-rejected"``,
-            ``"quarantined"``, ``"result-corrupt"`` or ``"degraded"``.
+            ``"worker-dead"``, ``"quarantined"``, ``"result-corrupt"``
+            or ``"degraded"``.
         key: the trial key involved (``None`` for campaign-wide events).
         detail: free-text diagnostics (owner ids, deadlines, ladder rung).
     """
@@ -148,11 +148,6 @@ class CampaignTelemetry:
         return self._count_events("claim-won")
 
     @property
-    def stale_commits_rejected(self) -> int:
-        """Late commits from fenced-out workers that were refused."""
-        return self._count_events("stale-commit-rejected")
-
-    @property
     def quarantined(self) -> int:
         """Poison trials parked after killing too many distinct workers."""
         return self._count_events("quarantined")
@@ -185,7 +180,6 @@ class CampaignTelemetry:
             "heartbeats_missed": float(self.heartbeats_missed),
             "degradations": float(self.degradations),
             "claims_won": float(self.claims_won),
-            "stale_commits_rejected": float(self.stale_commits_rejected),
             "quarantined": float(self.quarantined),
             "total_wall_clock_s": self.total_wall_clock_s,
             "mean_trial_s": (

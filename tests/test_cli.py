@@ -440,15 +440,20 @@ def test_sweep_dir_queue_backend_matches_default(tmp_path, capsys):
 
 
 def test_journal_inspect_quarantined_exits_3(tmp_path, capsys):
-    from repro.core.journal import TrialJournal, campaign_fingerprint
+    from repro.core.journal import (
+        QUEUE_EVENT, TrialJournal, campaign_fingerprint,
+    )
 
+    from helpers import make_queue, queue_task
+
+    queue = make_queue(tmp_path / "q")  # trial (1, 0) still claimed
+    tid = queue.enqueue(queue_task((1, 0)))
+    first = queue.try_claim_fresh(tid, "vm-a:11:1")
+    queue.try_takeover(tid, "vm-a:11:2", first)
     path = str(tmp_path / "poison.jsonl")
     fp = campaign_fingerprint(kind="test", what="cli-quarantine")
     with TrialJournal(path, fp) as journal:
-        journal.record_lease(
-            (1, 0), "vm-a:11:1", 1, ttl_s=3600.0,
-            host="vm-a", pid=11, token=2,
-        )
+        journal.record_campaign_event(QUEUE_EVENT, queue.root)
         journal.record_quarantine(
             (0, 0), owners=["vm-a:11:1", "vm-b:22:2"], attempts=2,
             traceback_text="Fatal Python error: Aborted",

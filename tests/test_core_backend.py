@@ -27,8 +27,8 @@ from repro.core.distq import (
 )
 from repro.core.journal import (
     campaign_fingerprint,
+    inspect_journal,
     open_journal,
-    read_lease_state,
 )
 from repro.core.runner import TrialRunner, TrialSpec
 from repro.metrics.collector import CampaignTelemetry
@@ -336,7 +336,9 @@ def test_timeouts_do_not_spend_the_respawn_budget():
 # -- journal integration ------------------------------------------------------
 
 
-def test_supervised_journals_leases_and_resumes_bit_identically(tmp_path):
+def test_supervised_journals_each_trial_once_and_resumes_bit_identically(
+    tmp_path,
+):
     path = str(tmp_path / "sup.jsonl")
     fingerprint = campaign_fingerprint(kind="backend-test", n=6)
     journal = open_journal(path, fingerprint, resume=False)
@@ -351,9 +353,10 @@ def test_supervised_journals_leases_and_resumes_bit_identically(tmp_path):
         journal.close()
     assert _values(first) == TRUTH
     with open(path, encoding="utf-8") as handle:
-        leases = [line for line in handle if '"kind":"lease"' in line]
-    assert len(leases) >= 7  # one per claim, plus the reclaim of trial 1
-    assert read_lease_state(path, fingerprint) == {}  # all settled
+        kinds = [json.loads(line)["kind"] for line in handle]
+    # The queue event, then one record per trial: the reclaim of trial 1
+    # stays in the (removed) private queue directory.
+    assert kinds == ["header", "event"] + ["trial"] * 6
 
     journal = open_journal(path, fingerprint, resume=True)
     telemetry = CampaignTelemetry()
@@ -368,12 +371,13 @@ def test_supervised_journals_leases_and_resumes_bit_identically(tmp_path):
 
 
 def test_expired_foreign_lease_is_reclaimed_not_double_run(tmp_path):
-    """A lease left in the journal by a dead owner is a transcript, not
-    a claim: the resume runs the trial exactly once, counted once."""
+    """A lease line an older journal holds for a dead owner is a
+    transcript, not a claim: the resume runs the trial exactly once."""
     path = str(tmp_path / "lease.jsonl")
     fingerprint = campaign_fingerprint(kind="backend-test", n=6)
     journal = open_journal(path, fingerprint, resume=False)
-    journal.record_lease(2, "dead-owner", 1, ttl_s=0.2)
+    journal._write_line({"kind": "lease", "key": "2", "owner": "dead-owner",
+                         "attempt": 1, "deadline": 0.0})
     journal.close()
 
     journal = open_journal(path, fingerprint, resume=True)
@@ -392,4 +396,4 @@ def test_expired_foreign_lease_is_reclaimed_not_double_run(tmp_path):
     assert sum(
         1 for e in telemetry.events if e.kind == "claim-won" and e.key == 2
     ) == 1
-    assert read_lease_state(path, fingerprint) == {}  # superseded + settled
+    assert inspect_journal(path).superseded == 1  # the lease line

@@ -24,11 +24,17 @@ from repro.core.distq import (
     DirQueue,
     DirQueueBackend,
     LeaseObserver,
+    open_claims,
     run_worker_loop,
     worker_identity,
 )
 from repro.core.journal import (
-    campaign_fingerprint, open_journal, read_quarantine, trial_key_id,
+    QUEUE_EVENT,
+    campaign_fingerprint,
+    inspect_journal,
+    open_journal,
+    read_quarantine,
+    trial_key_id,
 )
 from repro.core.runner import TrialRunner, TrialSpec
 from repro.metrics.collector import CampaignTelemetry
@@ -198,7 +204,6 @@ def test_stale_commit_is_rejected_with_evidence(tmp_path):
     assert info.value.token == 1
     assert info.value.current == 2
     assert not queue.has_result(tid)  # the late value was dropped
-    assert any(m.startswith(tid) for m in queue.stale_markers())
 
     # The rightful holder commits through the same fence unhindered.
     queue.commit_result(
@@ -656,7 +661,9 @@ def test_poison_trial_quarantined_and_skipped_on_resume(tmp_path):
     )  # nothing was enqueued for the second run at all
 
 
-def test_journal_mirrors_lease_host_pid_and_fencing_token(tmp_path):
+def test_journal_names_the_queue_dir_and_keeps_no_claims(tmp_path):
+    """Claims live only in the queue directory: the journal holds one
+    ``queue`` event naming it, then the trial records."""
     path = str(tmp_path / "campaign.jsonl")
     fingerprint = campaign_fingerprint(kind="distq-test", n=3)
     journal = open_journal(path, fingerprint, resume=False)
@@ -669,22 +676,19 @@ def test_journal_mirrors_lease_host_pid_and_fencing_token(tmp_path):
         ).run(_specs(3), journal=journal)
     finally:
         journal.close()
-    from repro.core.journal import read_lease_state
-
-    # Completed trials supersede their leases; re-read the raw stream to
-    # check what the scheduler transcribed while they ran.
-    mirrored = 0
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            record = json.loads(line)
-            if record.get("kind") != "lease":
-                continue
-            mirrored += 1
-            assert record["token"] >= 1
-            assert record["pid"] > 0
-            assert record["host"]
-    assert mirrored >= 3
-    assert read_lease_state(path) == {}  # all settled
+        records = [json.loads(line) for line in handle][1:]
+    assert [r["kind"] for r in records] == ["event"] + ["trial"] * 3
+    assert records[0]["event"] == QUEUE_EVENT
+    assert records[0]["detail"] == str(tmp_path / "q")
+    assert inspect_journal(path).queue_dir == str(tmp_path / "q")
+    # Every trial committed, so no claim is open; each one kept the
+    # host, pid and fencing token of the worker that held it.
+    assert open_claims(str(tmp_path / "q")) == {}
+    queue = DirQueue(str(tmp_path / "q"))
+    for tid in queue.task_ids():
+        claim = queue.read_claim(tid)
+        assert claim.token >= 1 and claim.pid > 0 and claim.host
 
 
 # -- degradation: the shared directory stops cooperating ----------------------
@@ -705,32 +709,6 @@ def test_unwritable_queue_dir_degrades_to_supervised(tmp_path, monkeypatch):
     assert _values(outcomes) == TRUTH  # the campaign still completes
     degraded = [e for e in telemetry.events if e.kind == "degraded"]
     assert degraded and "no longer writable" in degraded[0].detail
-
-
-def test_stat_latency_spikes_degrade_to_supervised(tmp_path, monkeypatch):
-    telemetry = CampaignTelemetry()
-    monkeypatch.setattr(distq, "STAT_LATENCY_BUDGET_S", 0.005)
-
-    def slow_stat(path):
-        time.sleep(0.02)
-        return os.stat(path)
-
-    monkeypatch.setattr(distq, "_stat", slow_stat)
-    # Slow trials keep the scheduling loop alive long enough for the
-    # probe to accumulate its strikes before the queue drains.
-    specs = [
-        TrialSpec(key=i, fn=_slow_square, args=(i, 0.8)) for i in range(6)
-    ]
-    outcomes = TrialRunner(
-        max_workers=2,
-        backend="dir-queue",
-        queue_dir=str(tmp_path / "q"),
-        lease_ttl_s=5.0,
-        telemetry=telemetry,
-    ).run(specs)
-    assert _values(outcomes) == TRUTH
-    degraded = [e for e in telemetry.events if e.kind == "degraded"]
-    assert degraded and "stat latency" in degraded[0].detail
 
 
 def test_unpicklable_specs_degrade_instead_of_dying(tmp_path):

@@ -362,7 +362,7 @@ def test_monte_carlo_resume_matches_fresh(tmp_path):
     np.testing.assert_array_equal(resumed.mean, truth.mean)
 
 
-# -- supervision records: leases, heartbeats, events --------------------------
+# -- supervision records: events, and legacy leases and heartbeats ------------
 
 
 def _legacy_heartbeat(journal, key, owner, seq):
@@ -377,37 +377,29 @@ def _legacy_heartbeat(journal, key, owner, seq):
     )
 
 
-def test_lease_records_supersede_and_trials_release(tmp_path):
-    from repro.core.journal import read_lease_state
+def _legacy_lease(journal, key, owner, attempt=1):
+    """Append a ``lease`` record as older journals carry them.
 
-    path = str(tmp_path / "lease.jsonl")
-    with TrialJournal(path, FP) as journal:
-        journal.record_lease((0, 0), "owner-a", 1, ttl_s=60.0)
-        journal.record_lease((0, 0), "owner-b", 2, ttl_s=60.0)  # supersedes
-        journal.record_lease((1, 0), "owner-a", 1, ttl_s=60.0)
-        journal.record_success((1, 0), 1, attempts=1, wall_clock_s=0.1)
-    leases = read_lease_state(path, FP)
-    # Trial (1,0) completed, so its lease is released; (0,0) holds the
-    # *latest* claim only.
-    assert set(leases) == {trial_key_id((0, 0))}
-    lease = leases[trial_key_id((0, 0))]
-    assert lease.owner == "owner-b"
-    assert lease.attempt == 2
-    assert not lease.expired()
+    Nothing writes leases any more (claims live in the queue directory);
+    readers must still skip them and compaction drops them.
+    """
+    journal._write_line(
+        {"kind": "lease", "key": trial_key_id(key), "owner": owner,
+         "attempt": attempt, "deadline": 0.0, "host": "h", "pid": 1,
+         "token": attempt},
+        fsync=False,
+    )
 
 
-def test_lease_expiry_is_wall_clock(tmp_path):
-    path = str(tmp_path / "lease.jsonl")
-    with TrialJournal(path, FP) as journal:
-        lease = journal.record_lease((0, 0), "o", 1, ttl_s=0.05)
-    assert not lease.expired(now=lease.deadline_unix - 0.01)
-    assert lease.expired(now=lease.deadline_unix)
+def _kinds(path):
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line)["kind"] for line in handle]
 
 
 def test_supervision_records_are_invisible_to_read_completed(tmp_path):
     path = str(tmp_path / "mixed.jsonl")
     with TrialJournal(path, FP) as journal:
-        journal.record_lease((0, 0), "o", 1, ttl_s=60.0)
+        _legacy_lease(journal, (0, 0), "o")
         _legacy_heartbeat(journal, (0, 0), "o", seq=1)
         journal.record_campaign_event("degraded", "supervised->process")
         journal.record_success((0, 0), 42, attempts=1, wall_clock_s=0.1)
@@ -416,19 +408,60 @@ def test_supervision_records_are_invisible_to_read_completed(tmp_path):
     assert len(completed) == 1
 
 
+def test_lease_records_supersede_and_trials_release(tmp_path):
+    """Older journals' lease lines never count: readers skip them,
+    ``inspect`` counts them superseded and compaction drops them."""
+    from repro.core.journal import compact_journal, inspect_journal
+
+    path = str(tmp_path / "lease.jsonl")
+    with TrialJournal(path, FP) as journal:
+        _legacy_lease(journal, (0, 0), "owner-a")
+        _legacy_lease(journal, (0, 0), "owner-b", attempt=2)
+        _legacy_lease(journal, (1, 0), "owner-a")
+        journal.record_success((1, 0), 1, attempts=1, wall_clock_s=0.1)
+    assert list(read_completed(path, FP)) == [trial_key_id((1, 0))]
+    assert inspect_journal(path).superseded == 3
+    compact_journal(path)
+    assert _kinds(path) == ["header", "trial"]
+    assert list(read_completed(path, FP)) == [trial_key_id((1, 0))]
+
+
+def test_lease_records_carry_fencing_identity(tmp_path):
+    """Open claims, with their owner's host, pid and fencing token, are
+    read from the queue directory the journal names."""
+    from repro.core.distq import open_claims
+    from repro.core.journal import QUEUE_EVENT, inspect_journal
+
+    from helpers import make_queue, queue_task
+
+    queue = make_queue(tmp_path / "q")
+    tid = queue.enqueue(queue_task((0, 0)))
+    first = queue.try_claim_fresh(tid, "nfs-a:77:1")
+    queue.try_takeover(tid, "nfs-a:77:2", first, dead_owner=first.owner)
+    path = str(tmp_path / "fenced.jsonl")
+    with TrialJournal(path, FP) as journal:
+        journal.record_campaign_event(QUEUE_EVENT, queue.root)
+    stats = inspect_journal(path)
+    assert stats.queue_dir == queue.root
+    claim = open_claims(stats.queue_dir)[trial_key_id((0, 0))]
+    assert (claim.owner, claim.host, claim.pid, claim.token) == (
+        "nfs-a:77:2", "nfs-a", 77, 2
+    )
+
+
 # -- inspect / compact --------------------------------------------------------
 
 
 def _write_busy_journal(path):
     """A journal with superseded records worth compacting."""
     with TrialJournal(path, FP) as journal:
-        journal.record_lease((0, 0), "a", 1, ttl_s=60.0)
+        _legacy_lease(journal, (0, 0), "a")
         _legacy_heartbeat(journal, (0, 0), "a", seq=1)
         _legacy_heartbeat(journal, (0, 0), "a", seq=2)
         journal.record_failure((0, 0), "first try died", attempts=1)
-        journal.record_lease((0, 0), "a", 2, ttl_s=60.0)
+        _legacy_lease(journal, (0, 0), "a", attempt=2)
         journal.record_success((0, 0), 7, attempts=2, wall_clock_s=0.2)
-        journal.record_lease((1, 0), "a", 1, ttl_s=3600.0)
+        _legacy_lease(journal, (1, 0), "a")
         journal.record_campaign_event("breaker-open", "3 consecutive")
 
 
@@ -440,38 +473,33 @@ def test_inspect_journal_counts_every_record_kind(tmp_path):
     stats = inspect_journal(path)
     assert stats.fingerprint == FP
     assert stats.schema == SCHEMA_VERSION
+    assert stats.records == 8
     assert stats.trials_ok == 1
     assert stats.trials_failed == 1
     assert stats.distinct_completed == 1
-    assert stats.leases == 3
-    assert stats.live_leases == 1  # (1,0) was never completed
-    assert stats.heartbeats == 2
     assert stats.events == 1
+    # The failure before the success, three leases and two heartbeats.
+    assert stats.superseded == 6
+    assert stats.queue_dir is None  # no queue backend ran
     assert not stats.torn_tail
     assert stats.size_bytes > 0
-    assert stats.superseded > 0
 
 
 def test_compact_preserves_resume_state_and_shrinks(tmp_path):
-    from repro.core.journal import compact_journal, read_lease_state
+    from repro.core.journal import compact_journal, inspect_journal
 
     path = str(tmp_path / "busy.jsonl")
     _write_busy_journal(path)
     before_completed = read_completed(path, FP)
-    before_leases = read_lease_state(path, FP)
 
     bytes_before, bytes_after = compact_journal(path)
     assert bytes_after < bytes_before
 
     # Resume-relevant state is byte-for-byte what it was: completed
-    # values, live leases, and the fingerprint all survive.
+    # values and the fingerprint survive; legacy lines are gone.
     assert read_completed(path, FP) == before_completed
-    assert read_lease_state(path, FP) == before_leases
-    from repro.core.journal import inspect_journal
-
-    stats = inspect_journal(path)
-    assert stats.heartbeats == 0  # heartbeats are always superseded
-    assert stats.superseded == 0  # nothing left to drop: idempotent
+    assert _kinds(path) == ["header", "trial", "event"]
+    assert inspect_journal(path).superseded == 0  # idempotent
     again_before, again_after = compact_journal(path)
     assert again_before == again_after
 
@@ -517,15 +545,15 @@ def test_compacted_journal_resumes_a_real_campaign(tmp_path):
     assert telemetry.trials_resumed == 3  # the compacted half was kept
 
 
-# -- quarantine and fencing records -------------------------------------------
+# -- quarantine records -------------------------------------------------------
 
 
 def test_quarantine_record_roundtrips_and_releases_lease(tmp_path):
-    from repro.core.journal import read_lease_state, read_quarantine
+    from repro.core.journal import compact_journal, read_quarantine
 
     path = str(tmp_path / "poison.jsonl")
     with TrialJournal(path, FP) as journal:
-        journal.record_lease((3, 0), "vm-a:11:1", 1, ttl_s=60.0)
+        _legacy_lease(journal, (3, 0), "vm-a:11:1")
         record = journal.record_quarantine(
             (3, 0),
             owners=["vm-a:11:1", "vm-b:22:2", "vm-a:11:1"],
@@ -535,10 +563,12 @@ def test_quarantine_record_roundtrips_and_releases_lease(tmp_path):
         # Duplicate owners collapse.
         assert record.owners == ("vm-a:11:1", "vm-b:22:2")
         assert journal.quarantined == {trial_key_id((3, 0)): record}
-    assert read_lease_state(path, FP) == {}  # quarantine released it
     parked = read_quarantine(path, FP)
     assert parked == {trial_key_id((3, 0)): record}
     assert "Segmentation fault" in parked[trial_key_id((3, 0))].traceback
+    compact_journal(path)  # the quarantine outlives the legacy lease
+    assert _kinds(path) == ["header", "quarantine"]
+    assert read_quarantine(path, FP) == parked
 
 
 def test_ok_trial_record_lifts_a_quarantine(tmp_path):
@@ -558,19 +588,6 @@ def test_resume_loads_quarantine_state(tmp_path):
         journal.record_quarantine((5, 0), owners=["a:1:1"], attempts=2)
     with TrialJournal(path, FP, resume=True) as journal:
         assert trial_key_id((5, 0)) in journal.quarantined
-
-
-def test_lease_records_carry_fencing_identity(tmp_path):
-    from repro.core.journal import read_lease_state
-
-    path = str(tmp_path / "fenced.jsonl")
-    with TrialJournal(path, FP) as journal:
-        journal.record_lease(
-            (0, 0), "nfs-a:77:2", 2, ttl_s=60.0,
-            host="nfs-a", pid=77, token=2,
-        )
-    lease = read_lease_state(path, FP)[trial_key_id((0, 0))]
-    assert (lease.host, lease.pid, lease.token) == ("nfs-a", 77, 2)
 
 
 def test_inspect_and_compact_preserve_quarantine(tmp_path):
@@ -653,23 +670,82 @@ def test_old_supervised_journal_resumes_bit_identically(old_journal):
     assert telemetry.trials_completed == 2  # the open lease did not block
 
 
-def test_old_supervised_journal_accepted_by_inspect_and_compact(
-    old_journal, capsys
+#: The scenario of ``result_journal.jsonl`` (key ``"AODV"``) and
+#: ``result_journal_dymo.jsonl`` (key ``"DYMO"``): one
+#: ``compare_protocols`` trial each, journalled before results were
+#: detached (``tests/test_core_result.py`` checks their values).
+OLD_RESULT_SCENARIO = Scenario(
+    num_nodes=6, road_length_m=1500.0, mobility_warmup_steps=20,
+    sim_time_s=3.0, senders=(1, 2), traffic_start_s=0.5,
+    traffic_stop_s=3.0, seed=7,
+)
+
+
+def _resume_old_supervised(path):
+    """Resume the supervised fixture; its values must be the serial ones."""
+    truth = [o.value for o in TrialRunner().run(_old_specs())]
+    telemetry = CampaignTelemetry()
+    journal = open_journal(path, OLD_FP, resume=True)
+    try:
+        outcomes = TrialRunner(
+            max_workers=2, backend="local-supervised", telemetry=telemetry
+        ).run(_old_specs(), journal=journal)
+    finally:
+        journal.close()
+    assert [o.value for o in outcomes] == truth
+    return telemetry
+
+
+def _resume_old_comparison(protocol):
+    def resume(path):
+        from repro.core.experiment import compare_protocols
+
+        telemetry = CampaignTelemetry()
+        compare_protocols(
+            OLD_RESULT_SCENARIO, (protocol,), journal_path=path,
+            resume=True, telemetry=telemetry,
+        )
+        return telemetry
+    return resume
+
+
+@pytest.mark.parametrize(
+    "fixture, resume, trials, legacy",
+    [
+        ("supervised_journal.jsonl", _resume_old_supervised, 3, 17),
+        ("result_journal.jsonl", _resume_old_comparison("AODV"), 1, 0),
+        ("result_journal_dymo.jsonl", _resume_old_comparison("DYMO"), 1, 0),
+    ],
+    ids=["supervised", "result-aodv", "result-dymo"],
+)
+# The result fixtures' pickled channels name the removed ``cjit`` backend.
+@pytest.mark.filterwarnings("ignore:kernels='cjit' unavailable")
+def test_old_journal_accepted_by_inspect_compact_and_resume(
+    tmp_path, capsys, fixture, resume, trials, legacy
 ):
+    """Journals written by older code parse, inspect, compact (dropping
+    their ``lease`` and ``heartbeat`` lines) and resume every trial."""
     from repro.cli import main
 
-    assert main(["journal", "inspect", old_journal]) == 0
+    original = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
+    path = str(tmp_path / fixture)
+    shutil.copyfile(original, path)
+    assert main(["journal", "inspect", path]) == 0  # nothing quarantined
     out = capsys.readouterr().out
-    assert "trials ok       : 3" in out
-    assert "heartbeats      : 14" in out
-    assert "events          : 2" in out
-    assert '["old",3]: owner dead-runner' in out
+    assert f"trials ok       : {trials}\n" in out
+    assert f"superseded      : {legacy}\n" in out
+    assert "queue dir" not in out  # claims were never journalled
 
-    before = read_completed(old_journal, OLD_FP)
-    assert main(["journal", "compact", old_journal]) == 0
+    fingerprint = json.loads(open(path).readline())["fingerprint"]
+    before = read_completed(path, fingerprint)
+    assert main(["journal", "compact", path]) == 0
     assert "compacted" in capsys.readouterr().out
-    assert read_completed(old_journal, OLD_FP).keys() == before.keys()
-    with open(old_journal, encoding="utf-8") as handle:
-        kinds = [json.loads(line)["kind"] for line in handle]
-    assert "heartbeat" not in kinds
-    assert kinds.count("event") == 2 and kinds.count("lease") == 1
+    assert read_completed(path, fingerprint).keys() == before.keys()
+    kinds = _kinds(path)
+    assert "lease" not in kinds and "heartbeat" not in kinds
+    assert len(kinds) == len(open(original).readlines()) - legacy
+
+    for journal in (original, path):  # resume is unchanged by compaction
+        copy = str(tmp_path / "resumed.jsonl")
+        shutil.copyfile(journal, copy)
+        assert resume(copy).trials_resumed == trials
