@@ -26,7 +26,11 @@ campaign run serially and undisturbed:
   attempt is journalled as failed and re-run on resume;
 * ``compaction`` — a journal with a reclaimed trial and a ``lease``
   line as older journals carry them is compacted (the lease line is
-  dropped) and still resumes every trial.
+  dropped) and still resumes every trial;
+* ``poison`` — a trial that SIGKILLs every worker that runs it is
+  quarantined after ``quarantine_after`` distinct deaths; the campaign
+  finishes the other trials, ``repro journal inspect`` exits 3, and a
+  resume skips the poison trial.
 
 Usage::
 
@@ -38,7 +42,9 @@ Exits 0 when every selected leg passes, 1 with a diagnostic otherwise.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -50,6 +56,8 @@ from pathlib import Path
 
 import repro.core.sweep as sweep_mod
 from repro.core.chaos import ChaosMonkey
+from repro.cli import EXIT_QUARANTINED
+from repro.cli import main as repro_main
 from repro.core.config import Scenario
 from repro.core.distq import DirQueue, DirQueueBackend
 from repro.core.journal import (
@@ -58,6 +66,7 @@ from repro.core.journal import (
     inspect_journal,
     open_journal,
     read_completed,
+    read_quarantine,
 )
 from repro.core.runner import TrialRunner, TrialSpec
 from repro.core.sweep import sweep_scenario
@@ -428,6 +437,63 @@ def leg_compaction(ctx):
     matches_truth(ctx, outcomes, "compacted-journal resume")
 
 
+def poison_trial(scenario):
+    """A trial whose execution kills its process (a segfault, an OOM)."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _poison_campaign(path, fingerprint):
+    specs = make_specs()
+    specs[2] = dataclasses.replace(specs[2], fn=poison_trial)
+    journal = open_journal(path, fingerprint, resume=False)
+    try:
+        TrialRunner(
+            max_workers=2, backend="local-supervised", lease_ttl_s=30.0,
+        ).run(specs, journal=journal)
+    finally:
+        journal.close()
+
+
+def leg_poison(ctx):
+    path, fingerprint = _journalled(ctx, "poison")
+    # The campaign runs in its own process: were the poison trial ever
+    # run by the scheduler itself, it would kill that process.
+    campaign = multiprocessing.get_context("fork").Process(
+        target=_poison_campaign, args=(path, fingerprint)
+    )
+    campaign.start()
+    campaign.join(timeout=LEG_TIMEOUT_S)
+    check(campaign.exitcode == 0,
+          f"the poison trial killed the campaign (exit {campaign.exitcode})")
+    parked = read_quarantine(path, fingerprint)
+    check(list(parked) == ['["chaos",2]']
+          and len(parked['["chaos",2]'].owners) == 3,
+          f"the poison trial was not quarantined after 3 deaths: {parked}")
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = repro_main(["journal", "inspect", path])
+    check(status == EXIT_QUARANTINED,
+          f"journal inspect exited {status}, not {EXIT_QUARANTINED}")
+    specs = make_specs()
+    specs[2] = dataclasses.replace(specs[2], fn=poison_trial)
+    telemetry = CampaignTelemetry()
+    journal = open_journal(path, fingerprint, resume=True)
+    try:  # in this process: the poison trial must not run again
+        outcomes = TrialRunner(
+            max_workers=2, backend="local-supervised", telemetry=telemetry
+        ).run(specs, journal=journal)
+    finally:
+        journal.close()
+    check(telemetry.trials_resumed == TRIALS - 1
+          and telemetry.quarantined == 1,
+          "the resume did not skip the parked trial")
+    check(not outcomes[2].ok and outcomes[2].infrastructure,
+          "the parked trial did not come back as an infrastructure failure")
+    healthy = [o.value for o in outcomes if o.index != 2]
+    truth = [t for i, t in enumerate(ctx["truth"]) if i != 2]
+    check(fingerprint_of(healthy) == truth,
+          "the healthy trials differ from the serial truth")
+
+
 LEGS = [
     *[(f"sigkill[{b}]", leg_sigkill, b) for b in QUEUES],
     *[(f"hang[{b}]", leg_hang, b) for b in QUEUES],
@@ -440,6 +506,7 @@ LEGS = [
     ("torn-journal", leg_torn_journal, None),
     ("journalled-failure", leg_journalled_failure, None),
     ("compaction", leg_compaction, None),
+    ("poison", leg_poison, None),
 ]
 
 
