@@ -21,6 +21,9 @@ campaign run serially and undisturbed:
 * ``read-only`` — a queue dir that stops being writable degrades the
   campaign down the ladder (a shared ``dir-queue`` to a private queue,
   a private queue to ``local-serial``);
+* ``dead-on-start`` — workers that die before they claim anything are
+  charged to no trial; the respawn budget degrades the campaign to
+  ``local-serial`` instead of respawning them forever;
 * ``torn-journal`` — a journalled sweep killed mid-flight, its last line
   torn, resumes; ``journalled-failure`` — a trial raising on every
   attempt is journalled as failed and re-run on resume;
@@ -59,6 +62,7 @@ from repro.core.chaos import ChaosMonkey
 from repro.cli import EXIT_QUARANTINED
 from repro.cli import main as repro_main
 from repro.core.config import Scenario
+from repro.core import distq
 from repro.core.distq import DirQueue, DirQueueBackend
 from repro.core.journal import (
     campaign_fingerprint,
@@ -316,6 +320,23 @@ def leg_read_only(ctx, backend):
           f"read-only did not degrade along {ladder} (got {degraded})")
 
 
+def leg_dead_on_start(ctx):
+    def die(*args, **kwargs):  # a worker process that cannot start
+        os._exit(1)
+
+    real_loop = distq.run_worker_loop
+    distq.run_worker_loop = die  # forked workers inherit the patch
+    try:
+        telemetry, _ = run_chaos(ctx, "local-supervised", None)
+    finally:
+        distq.run_worker_loop = real_loop
+    degraded = [e.detail for e in telemetry.events if e.kind == "degraded"]
+    check(len(degraded) == 1
+          and degraded[0].startswith("local-supervised->local-serial")
+          and "respawn budget" in degraded[0],
+          f"dead workers did not exhaust the respawn budget: {degraded}")
+
+
 # -- journal legs -----------------------------------------------------------------
 
 
@@ -503,6 +524,7 @@ LEGS = [
     ("stale-fence", leg_stale_fence, None),
     ("campaign-kill", leg_campaign_kill, None),
     *[(f"read-only[{b}]", leg_read_only, b) for b in QUEUES],
+    ("dead-on-start", leg_dead_on_start, None),
     ("torn-journal", leg_torn_journal, None),
     ("journalled-failure", leg_journalled_failure, None),
     ("compaction", leg_compaction, None),
