@@ -21,6 +21,10 @@ campaign run serially and undisturbed:
 * ``read-only`` — a queue dir that stops being writable degrades the
   campaign down the ladder (a shared ``dir-queue`` to a private queue,
   a private queue to ``local-serial``);
+* ``unwritable-dir`` — a shared queue dir that really starts refusing
+  writes after the trials are enqueued (``EROFS``, as a read-only
+  remount gives) degrades the campaign to a private queue instead of
+  leaving every worker unable to claim;
 * ``dead-on-start`` — workers that die before they claim anything are
   charged to no trial; the respawn budget degrades the campaign to
   ``local-serial`` instead of respawning them forever;
@@ -45,8 +49,10 @@ Exits 0 when every selected leg passes, 1 with a diagnostic otherwise.
 """
 
 import argparse
+import builtins
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import multiprocessing
@@ -320,6 +326,68 @@ def leg_read_only(ctx, backend):
           f"read-only did not degrade along {ladder} (got {degraded})")
 
 
+@contextlib.contextmanager
+def _refusing_writes(root):
+    """Writes under ``root`` fail with ``EROFS`` in this process and in
+    every worker forked from it: a read-only remount, as the queue sees
+    it (its files are created through ``open``, ``os.open`` and
+    ``os.link``, and renamed into place with ``os.replace``)."""
+    prefix = os.path.join(root, "")
+    writing = os.O_WRONLY | os.O_RDWR | os.O_CREAT
+
+    def refuse(path):
+        if os.fspath(path).startswith(prefix):
+            raise OSError(errno.EROFS, "Read-only file system", path)
+
+    def guarded_open(path, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            refuse(path)
+        return builtins.open(path, mode, *args, **kwargs)
+
+    def guarded(call, writes=lambda *args: True):
+        def wrapper(path, *args, **kwargs):
+            if writes(*args):
+                refuse(path)
+            return call(path, *args, **kwargs)
+        return wrapper
+
+    real = {name: getattr(os, name) for name in ("open", "link", "replace")}
+    os.open = guarded(real["open"], lambda flags, *rest: flags & writing)
+    os.link = guarded(real["link"])
+    os.replace = guarded(real["replace"])
+    distq.open = guarded_open  # shadows the builtin inside distq only
+    try:
+        yield
+    finally:
+        for name, call in real.items():
+            setattr(os, name, call)
+        del distq.open
+
+
+def leg_unwritable_dir(ctx):
+    real_schedule = DirQueueBackend._schedule
+
+    def schedule_read_only(self, queue, *args):
+        if self.private:  # the next rung's queue stays writable
+            return real_schedule(self, queue, *args)
+        with _refusing_writes(queue.root):
+            return real_schedule(self, queue, *args)
+
+    # The shared directory goes read-only once the trials are enqueued,
+    # before any worker is spawned.
+    DirQueueBackend._schedule = schedule_read_only
+    try:
+        telemetry, _ = run_chaos(ctx, "dir-queue", None, lease_ttl_s=5.0)
+    finally:
+        DirQueueBackend._schedule = real_schedule
+    degraded = [e.detail for e in telemetry.events if e.kind == "degraded"]
+    check(len(degraded) == 1
+          and degraded[0].startswith("dir-queue->local-supervised")
+          and "writable" in degraded[0],
+          f"the read-only queue dir was not left for a private queue: "
+          f"{degraded}")
+
+
 def leg_dead_on_start(ctx):
     def die(*args, **kwargs):  # a worker process that cannot start
         os._exit(1)
@@ -524,6 +592,7 @@ LEGS = [
     ("stale-fence", leg_stale_fence, None),
     ("campaign-kill", leg_campaign_kill, None),
     *[(f"read-only[{b}]", leg_read_only, b) for b in QUEUES],
+    ("unwritable-dir", leg_unwritable_dir, None),
     ("dead-on-start", leg_dead_on_start, None),
     ("torn-journal", leg_torn_journal, None),
     ("journalled-failure", leg_journalled_failure, None),

@@ -17,7 +17,7 @@ LEGS = {
     *(f"{leg}[{backend}]" for leg in QUEUE_LEGS
       for backend in ("local-supervised", "dir-queue")),
     "stale-fence", "campaign-kill", "torn-journal", "journalled-failure",
-    "compaction", "poison", "dead-on-start",
+    "compaction", "poison", "unwritable-dir", "dead-on-start",
 }
 
 
