@@ -1162,8 +1162,6 @@ class DirQueueBackend(ExecutionBackend):
                 tid = queue.enqueue(_task_payload(runner, index, spec))
                 index_of.setdefault(tid, []).append(index)
             self._plant_ghost_claims(queue, specs)
-            if journal is not None:
-                journal.record_campaign_event(QUEUE_EVENT, queue.root)
         except OSError as exc:
             return self._degrade(
                 specs, [None] * len(specs), journal,
@@ -1176,6 +1174,8 @@ class DirQueueBackend(ExecutionBackend):
                 specs, [None] * len(specs), journal,
                 reason=f"specs do not pickle: {exc}",
             )
+        if journal is not None:
+            journal.record_campaign_event(QUEUE_EVENT, queue.root)
         context = _context()
         if context is None:
             return self._degrade(
